@@ -25,11 +25,6 @@ def interval_rule(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarra
     return mid + half * x, half * w
 
 
-def integrate_interval(f, a: float, b: float, order: int = 32) -> float:
-    x, w = interval_rule(a, b, order)
-    return float(np.dot(w, f(x)))
-
-
 def segment_rule(p0, p1, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (k, 2) and weights for a line integral along the segment p0-p1."""
     p0 = np.asarray(p0, dtype=float)

@@ -1,5 +1,10 @@
 """P1 finite-element assembly of the Robin forms on the reference square.
 
+The pullback pencil is affine in the scalar coefficients of ``coefficients``.
+``affine_blocks`` builds its unit blocks once per mesh, on one shared CSR
+pattern cached on the mesh; every pullback matrix (both pencils, the boundary
+masses, all parameter derivatives) is a weighted sum of them.
+
 Three assemblies of the same spectral problem are provided.
 
 ``assemble_transformed``
@@ -36,8 +41,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._quadrature import gauss_legendre
+from .coefficients import boundary_weights_transformed, coefficient_values, pullback_matrices
 from .errors import ContractError
-from .geometry import QuadParams, edge_length, map_forward, EDGE_IDS
+from .geometry import QuadParams, map_forward
 from .mesh import Mesh
 
 __all__ = [
@@ -48,8 +54,8 @@ __all__ = [
     "assemble_plain_mass",
     "pullback_matrices",
     "boundary_weights_transformed",
-    "stiffness_matrix",
-    "weighted_mass_matrix",
+    "affine_blocks",
+    "affine_combination",
     "boundary_mass_matrices",
     "directional_stiffness",
     "export_coo",
@@ -128,6 +134,8 @@ def _stiffness_from(nodes, triangles, n, G: np.ndarray) -> sp.csr_matrix:
 
 
 _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
+_EDGE_PATTERN = (np.ones((2, 2)) + np.eye(2)) / 6.0
+_NO_G = (np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 def _mass_from(nodes, triangles, n, weights: np.ndarray) -> sp.csr_matrix:
@@ -156,28 +164,88 @@ def _boundary_from(nodes, bedge_nodes, n, edge_weights: np.ndarray) -> sp.csr_ma
     return mat
 
 
-def stiffness_matrix(mesh: Mesh, G_upper: np.ndarray, G_lower: np.ndarray) -> sp.csr_matrix:
-    """Stiffness with a constant 2x2 coefficient matrix per half."""
-    G = np.where(mesh.tri_upper[:, None, None], G_upper[None], G_lower[None])
-    return _stiffness_from(mesh.nodes, mesh.triangles, mesh.dof_count, G)
+@dataclass
+class _AffineBlocks:
+    """Unit blocks of the pullback form on one shared CSR pattern of a mesh.
+
+    halves[j] = (slots, E): the pattern slots touched by half j (upper, then
+    lower) and, on those slots, E[0..3] = the E11, E12 + E21 and E22
+    stiffness and the mass of that half.  edges[s] = (slots, B): the unit
+    boundary mass of edge label s (EDGE_IDS order).  Storing each half on its
+    own slots (about half the pattern) keeps the cache to ~10 MiB at mesh 128.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    halves: list
+    edges: list
 
 
-def weighted_mass_matrix(mesh: Mesh, w_upper: float, w_lower: float) -> sp.csr_matrix:
-    w = np.where(mesh.tri_upper, w_upper, w_lower)
-    return _mass_from(mesh.nodes, mesh.triangles, mesh.dof_count, w)
+def _on_slots(slot: np.ndarray, nnz: int):
+    """Distinct slots of ``slot`` (sorted) and each entry's position among them."""
+    used = np.zeros(nnz, dtype=bool)
+    used[slot] = True
+    return np.flatnonzero(used), (np.cumsum(used) - 1)[slot]
+
+
+def affine_blocks(mesh: Mesh) -> _AffineBlocks:
+    """The mesh's affine blocks, built on first use and cached on the mesh."""
+    if mesh.affine_blocks is not None:
+        return mesh.affine_blocks
+    n, tris = mesh.dof_count, mesh.triangles
+    keys = (np.repeat(tris, 3, axis=1) * n + np.tile(tris, (1, 3))).ravel()
+    pattern, slot = np.unique(keys, return_inverse=True)
+    slot = slot.reshape(len(tris), 9)
+    del keys
+    halves = []
+    for sel in (mesh.tri_upper, ~mesh.tri_upper):
+        area, grads = _triangle_geometry(mesh.nodes, tris[sel])
+        gx, gy = grads[:, :, 0], grads[:, :, 1]
+        slots, where = _on_slots(slot[sel].ravel(), len(pattern))
+        E = np.empty((4, len(slots)))
+        for q, (f, g) in enumerate(((gx, gx), (gx, gy), (gy, gy))):
+            local = f[:, :, None] * g[:, None, :]
+            if f is not g:  # the mixed block is E12 + E21
+                local = local + local.transpose(0, 2, 1)
+            E[q] = np.bincount(where, (area[:, None, None] * local).ravel(), len(slots))
+        E[3] = np.bincount(where, (area[:, None, None] * _MASS_PATTERN).ravel(), len(slots))
+        halves.append((slots, E))
+    edges = []
+    for s in range(4):
+        ends = mesh.bedge_nodes[mesh.bedge_side == s]
+        lengths = np.linalg.norm(mesh.nodes[ends[:, 1]] - mesh.nodes[ends[:, 0]], axis=1)
+        keys = (np.repeat(ends, 2, axis=1) * n + np.tile(ends, (1, 2))).ravel()
+        slots, where = _on_slots(np.searchsorted(pattern, keys), len(pattern))
+        local = lengths[:, None, None] * _EDGE_PATTERN
+        edges.append((slots, np.bincount(where, local.ravel(), len(slots))))
+    indptr = np.searchsorted(pattern, np.arange(n + 1) * n).astype(np.int32)
+    indices = (pattern % n).astype(np.int32)
+    for shared in (indptr, indices):  # an in-place edit would corrupt every matrix
+        shared.setflags(write=False)
+    mesh.affine_blocks = _AffineBlocks(indptr, indices, halves, edges)
+    return mesh.affine_blocks
+
+
+def affine_combination(mesh: Mesh, G=_NO_G, edge=(0.0,) * 4, mass=(0.0, 0.0)) -> sp.csr_matrix:
+    """sum_j [G_j : E_j + mass_j M_j] + sum_s edge_s B_s on the shared pattern.
+
+    G = (G_upper, G_lower) are symmetric 2x2 interior coefficients, ``edge``
+    the boundary weight per edge label and ``mass`` the mass weight per half.
+    """
+    blocks = affine_blocks(mesh)
+    data = np.zeros(len(blocks.indices))
+    for (slots, E), Gj, mj in zip(blocks.halves, G, mass):
+        data[slots] += E.T @ np.array([Gj[0, 0], Gj[0, 1], Gj[1, 1], mj])
+    for (slots, B), w in zip(blocks.edges, edge):
+        if w != 0.0:
+            data[slots] += w * B
+    n = mesh.dof_count
+    return sp.csr_matrix((data, blocks.indices, blocks.indptr), shape=(n, n))
 
 
 def boundary_mass_matrices(mesh: Mesh) -> list[sp.csr_matrix]:
     """Unit-weight boundary mass matrix for each of the four edge labels."""
-    out = []
-    for s in range(4):
-        sel = mesh.bedge_side == s
-        out.append(
-            _boundary_from(
-                mesh.nodes, mesh.bedge_nodes[sel], mesh.dof_count, np.ones(sel.sum())
-            )
-        )
-    return out
+    return [affine_combination(mesh, edge=np.eye(4)[s]) for s in range(4)]
 
 
 def directional_stiffness(mesh: Mesh, i: int, j: int, half: str | None = None) -> sp.csr_matrix:
@@ -201,56 +269,13 @@ def directional_stiffness(mesh: Mesh, i: int, j: int, half: str | None = None) -
     return _stiffness_from(mesh.nodes, tris, mesh.dof_count, G)
 
 
-def pullback_matrices(p: QuadParams, transported: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Constant interior coefficient matrices (upper, lower) of the pullback.
-
-    With ``transported`` the (Sj/S) weight is included:
-        [[Sj/c^2 + aj^2/Sj,  e aj c/Sj], [e aj c/Sj, c^2/Sj]],  e = -1, +1;
-    without it the matrices are the plain Dinv Dinv^T of the inverse map.
-    """
-    out = []
-    for aj, Sj, eps in ((p.a1, p.S1, -1.0), (p.a2, p.S2, 1.0)):
-        G = np.array(
-            [
-                [Sj / p.c**2 + aj**2 / Sj, eps * aj * p.c / Sj],
-                [eps * aj * p.c / Sj, p.c**2 / Sj],
-            ]
-        )
-        if not transported:
-            G *= p.S / Sj
-        out.append(G)
-    return out[0], out[1]
-
-
-def boundary_weights_transformed(p: QuadParams, alpha: float, transported: bool = True) -> np.ndarray:
-    """Per-edge boundary weights, in EDGE_IDS order.
-
-    Transported:  alpha * |edge| / |ref edge|;
-    plain-mass:   alpha * S * |edge| / (Sj * |ref edge|).
-    """
-    ell0 = math.sqrt(2.0 * p.S)
-    w = np.empty(4)
-    for k, e in enumerate(EDGE_IDS):
-        Sj = p.S1 if e.j == 1 else p.S2
-        w[k] = alpha * edge_length(p, e) / ell0
-        if not transported:
-            w[k] *= p.S / Sj
-    return w
-
-
 def _assemble_pullback(p, alpha, mesh, transported: bool, kind: str) -> AssembledSystem:
     _check_mesh(p, mesh)
     _warn_boundary_layer(p, alpha, mesh)
-    Gu, Gl = pullback_matrices(p, transported=transported)
-    K = stiffness_matrix(mesh, Gu, Gl)
-    weights = boundary_weights_transformed(p, alpha, transported=transported)
-    for s, B in enumerate(boundary_mass_matrices(mesh)):
-        K = K + weights[s] * B
-    if transported:
-        M = weighted_mass_matrix(mesh, p.S1 / p.S, p.S2 / p.S)
-    else:
-        M = weighted_mass_matrix(mesh, 1.0, 1.0)
-    return AssembledSystem(K.tocsr(), M.tocsr(), mesh.dof_count, p, alpha, mesh, kind)
+    v = coefficient_values(p, transported)
+    K = affine_combination(mesh, (v.G_upper, v.G_lower), alpha * v.edge)
+    M = affine_combination(mesh, mass=v.mass)
+    return AssembledSystem(K, M, mesh.dof_count, p, alpha, mesh, kind)
 
 
 def assemble_transformed(p: QuadParams, alpha: float, mesh: Mesh) -> AssembledSystem:

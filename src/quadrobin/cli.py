@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,14 +116,9 @@ def _threads() -> int:
         return 1
 
 
-_MESH_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _cached_mesh(n: int, S: float):
-    key = (n, S)
-    if key not in _MESH_CACHE:
-        _MESH_CACHE[key] = build_mesh(n, S)
-    return _MESH_CACHE[key]
+    return build_mesh(n, S)
 
 
 def _sweep_cell(task):

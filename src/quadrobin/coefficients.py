@@ -1,42 +1,58 @@
-"""Closed-form parameter derivatives of the pullback coefficients.
+"""The pullback coefficients and their closed-form parameter derivatives.
 
-The transported stiffness uses, per half j (eps = -1 for the upper half,
-+1 for the lower, Sj the half area),
+The transported pencil is affine in a few scalar coefficients, each a
+function of one half's (aj, c, Sj) (eps = -1 for the upper half, +1 for the
+lower): the entries of
 
     Ghat_j = [[Sj/c^2 + aj^2/Sj,  eps aj c / Sj],
               [eps aj c / Sj,     c^2 / Sj     ]],
 
-per-edge boundary factors |edge|/|ref edge| and per-half mass weights Sj/S.
-First and second derivatives of all of these in (a1, a2, c, S1) are generated
-symbolically once (S2 = 2S - S1 keeps the chain rule honest) and evaluated as
-plain floats per parameter point.  No coefficient is ever differenced
-numerically; finite differences exist only as a validation oracle elsewhere.
+the edge ratios sqrt(Sj^2/c^2 + (aj +- c)^2) / sqrt(2S) and the mass weight
+Sj/S.  ``_half`` writes out their values, gradients and Hessians by hand; a
+fixed linear Jacobian (S2 = 2S - S1) carries them to (a1, a2, c, S1).  The
+formulas live only here; the assembly takes its weights from
+``coefficient_values``.  Finite differences are only a validation oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .geometry import QuadParams
 
-__all__ = ["PARAMS", "PAIRS", "CoefficientDerivatives", "first_tables", "second_tables"]
+__all__ = [
+    "PARAMS",
+    "PAIRS",
+    "CoefficientDerivatives",
+    "first_tables",
+    "second_tables",
+    "coefficient_values",
+    "pullback_matrices",
+    "boundary_weights_transformed",
+]
 
 PARAMS = ("a1", "a2", "c", "S1")
 PAIRS = tuple(
     (PARAMS[i], PARAMS[j]) for i in range(4) for j in range(i, 4)
 )
 
+# d(aj, c, Sj) / d(a1, a2, c, S1) for the upper and the lower half
+_JACOBIANS = (
+    np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+    np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0]]),
+)
+
 
 @dataclass(frozen=True)
 class CoefficientDerivatives:
-    """Derivative of every assembly coefficient in one parameter direction.
+    """Every assembly coefficient, or its derivative in one parameter direction.
 
-    G_upper / G_lower   (2, 2) interior coefficient derivative per half
-    edge                (4,)   derivative of |edge|/|ref edge| per edge label
-    mass                (2,)   derivative of the per-half mass weight Sj/S
+    G_upper / G_lower   (2, 2) interior coefficient per half
+    edge                (4,)   |edge|/|ref edge| per edge label (EDGE_IDS order)
+    mass                (2,)   per-half mass weight Sj/S
     """
 
     G_upper: np.ndarray
@@ -45,86 +61,106 @@ class CoefficientDerivatives:
     mass: np.ndarray
 
 
-@lru_cache(maxsize=1)
-def _lambdified():
-    import sympy as sym
+def _half(a: float, c: float, s: float, eps: float, S: float):
+    """Coefficients of one half as functions of (aj, c, Sj).
 
-    a1, a2, c, S1, S = sym.symbols("a1 a2 c S1 S", real=True)
-    S2 = 2 * S - S1
-    halves = ((a1, S1, -1), (a2, S2, +1))
-
-    G = []
-    for aj, Sj, eps in halves:
-        G.append(
-            sym.Matrix(
-                [
-                    [Sj / c**2 + aj**2 / Sj, eps * aj * c / Sj],
-                    [eps * aj * c / Sj, c**2 / Sj],
-                ]
-            )
-        )
-    ell0 = sym.sqrt(2 * S)
-    # boundary-label order (1,1), (2,1), (1,2), (2,2): sign +, -, +, -
-    edge_ratio = [
-        sym.sqrt(S1**2 / c**2 + (a1 + c) ** 2) / ell0,
-        sym.sqrt(S1**2 / c**2 + (a1 - c) ** 2) / ell0,
-        sym.sqrt(S2**2 / c**2 + (a2 + c) ** 2) / ell0,
-        sym.sqrt(S2**2 / c**2 + (a2 - c) ** 2) / ell0,
-    ]
-    mass_w = [S1 / S, S2 / S]
-    directions = (a1, a2, c, S1)
-
-    def bundle(exprs):
-        return [
-            [sym.diff(G[0], v).tolist(), sym.diff(G[1], v).tolist()]
-            + [[sym.diff(r, v) for r in edge_ratio]]
-            + [[sym.diff(w, v) for w in mass_w]]
-            for v in exprs
-        ]
-
-    first = bundle(directions)
-    second = []
-    for i, v1 in enumerate(directions):
-        for v2 in directions[i:]:
-            second.append(
-                [
-                    sym.diff(G[0], v1, v2).tolist(),
-                    sym.diff(G[1], v1, v2).tolist(),
-                    [sym.diff(r, v1, v2) for r in edge_ratio],
-                    [sym.diff(w, v1, v2) for w in mass_w],
-                ]
-            )
-    args = (a1, a2, c, S1, S)
-    return (
-        sym.lambdify(args, first, modules="math"),
-        sym.lambdify(args, second, modules="math"),
-    )
+    Rows: G11, G12, G22 of Ghat_j, the edge ratios of the legs i = 1
+    (aj + c) and i = 2 (aj - c), and Sj/S.  Returns the values (6,), the
+    gradients (6, 3) and the Hessians (6, 3, 3).
+    """
+    val = np.empty(6)
+    grad = np.zeros((6, 3))
+    hess = np.zeros((6, 3, 3))
+    val[0] = s / c**2 + a**2 / s
+    grad[0] = 2 * a / s, -2 * s / c**3, 1 / c**2 - a**2 / s**2
+    hess[0] = [[2 / s, 0, -2 * a / s**2],
+               [0, 6 * s / c**4, -2 / c**3],
+               [-2 * a / s**2, -2 / c**3, 2 * a**2 / s**3]]
+    val[1] = eps * a * c / s
+    grad[1] = eps * c / s, eps * a / s, -eps * a * c / s**2
+    hess[1] = eps * np.array([[0, 1 / s, -c / s**2],
+                              [1 / s, 0, -a / s**2],
+                              [-c / s**2, -a / s**2, 2 * a * c / s**3]])
+    val[2] = c**2 / s
+    grad[2] = 0, 2 * c / s, -c**2 / s**2
+    hess[2] = [[0, 0, 0], [0, 2 / s, -2 * c / s**2], [0, -2 * c / s**2, 2 * c**2 / s**3]]
+    # edge ratio q / ell0, q = |(u, d)| with u = s/c, d = a +- c.  The Hessian
+    # form (w w^T / q^2 + u d2u) / q avoids the cancellation in
+    # d2f / (2q) - df df^T / (4q^3) when u is small against d
+    ell0 = math.sqrt(2.0 * S)
+    u = s / c
+    d2u = np.array([[0, 0, 0], [0, 2 * u / c**2, -1 / c**2], [0, -1 / c**2, 0]])
+    for k, sign in ((3, 1.0), (4, -1.0)):
+        d = a + sign * c
+        q = math.hypot(u, d)
+        w = np.array([-u, -u * (d + sign * c) / c, d / c])
+        val[k] = q / ell0
+        grad[k] = np.array([d, sign * d - u * u / c, u / c]) / (q * ell0)
+        hess[k] = (np.outer(w, w) / q**2 + u * d2u) / (q * ell0)
+    val[5] = s / S
+    grad[5, 2] = 1 / S
+    return val, grad, hess
 
 
-def _pack(raw) -> CoefficientDerivatives:
-    gu, gl, edge, mass = raw
+def _tables(p: QuadParams):
+    """Per half: values (6,), gradients (6, 4), Hessians (6, 4, 4) in PARAMS."""
+    out = []
+    for (a, s, eps), J in zip(((p.a1, p.S1, -1.0), (p.a2, p.S2, 1.0)), _JACOBIANS):
+        val, grad, hess = _half(a, p.c, s, eps, p.S)
+        out.append((val, grad @ J, J.T @ hess @ J))
+    return out
+
+
+def _pack(u: np.ndarray, l: np.ndarray) -> CoefficientDerivatives:
     return CoefficientDerivatives(
-        G_upper=np.array(gu, dtype=float),
-        G_lower=np.array(gl, dtype=float),
-        edge=np.array(edge, dtype=float),
-        mass=np.array(mass, dtype=float),
+        G_upper=np.array([[u[0], u[1]], [u[1], u[2]]]),
+        G_lower=np.array([[l[0], l[1]], [l[1], l[2]]]),
+        edge=np.array([u[3], u[4], l[3], l[4]]),
+        mass=np.array([u[5], l[5]]),
     )
 
 
 def first_tables(p: QuadParams) -> dict[str, CoefficientDerivatives]:
     """Coefficient derivatives d/dv at p, keyed by parameter name."""
-    f1, _ = _lambdified()
-    raw = f1(p.a1, p.a2, p.c, p.S1, p.S)
-    return {v: _pack(entry) for v, entry in zip(PARAMS, raw)}
+    (_, gu, _), (_, gl, _) = _tables(p)
+    return {v: _pack(gu[:, i], gl[:, i]) for i, v in enumerate(PARAMS)}
 
 
 def second_tables(p: QuadParams) -> dict[tuple[str, str], CoefficientDerivatives]:
     """Coefficient derivatives d^2/dv1 dv2 at p, keyed by ordered pair."""
-    _, f2 = _lambdified()
-    raw = f2(p.a1, p.a2, p.c, p.S1, p.S)
+    (_, _, hu), (_, _, hl) = _tables(p)
     out = {}
-    for pair, entry in zip(PAIRS, raw):
-        packed = _pack(entry)
-        out[pair] = packed
-        out[(pair[1], pair[0])] = packed
+    for v1, v2 in PAIRS:
+        i, j = PARAMS.index(v1), PARAMS.index(v2)
+        out[(v1, v2)] = out[(v2, v1)] = _pack(hu[:, i, j], hl[:, i, j])
     return out
+
+
+def coefficient_values(p: QuadParams, transported: bool = True) -> CoefficientDerivatives:
+    """Every assembly coefficient at p.
+
+    The plain-mass normalisation divides each half's coefficients by its mass
+    weight Sj/S: interior Dinv Dinv^T, boundary S |edge| / (Sj |ref edge|),
+    unit mass.
+    """
+    (u, _, _), (l, _, _) = _tables(p)
+    return _pack(u, l) if transported else _pack(u / u[5], l / l[5])
+
+
+def pullback_matrices(p: QuadParams, transported: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Constant interior coefficient matrices (upper, lower) of the pullback.
+
+    With ``transported`` the (Sj/S) weight is included (Ghat_j above);
+    without it the matrices are the plain Dinv Dinv^T of the inverse map.
+    """
+    v = coefficient_values(p, transported)
+    return v.G_upper, v.G_lower
+
+
+def boundary_weights_transformed(p: QuadParams, alpha: float, transported: bool = True) -> np.ndarray:
+    """Per-edge boundary weights, in EDGE_IDS order.
+
+    Transported:  alpha * |edge| / |ref edge|;
+    plain-mass:   alpha * S * |edge| / (Sj * |ref edge|).
+    """
+    return alpha * coefficient_values(p, transported).edge

@@ -52,6 +52,8 @@ class Mesh:
     qu: np.ndarray = field(repr=False, default=None)
     qv: np.ndarray = field(repr=False, default=None)
     q_den: int = 0
+    # unit blocks of the pullback form, built on first use (assembly.affine_blocks)
+    affine_blocks: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dof_count(self) -> int:
@@ -116,44 +118,28 @@ def build_mesh(n: int, S: float = 1.0) -> Mesh:
     qu = np.concatenate([qu_c.ravel(), qu_m.ravel()])
     qv = np.concatenate([qv_c.ravel(), qv_m.ravel()])
 
-    def cid(iu, iv):  # corner node id
-        return iu * (n + 1) + iv
-
-    def mid(iu, iv):  # cell-centre node id
-        return (n + 1) * (n + 1) + iu * n + iv
-
-    tris = []
-    upper = []
-    bnodes = []
-    bside = []
-    for iu in range(n):
-        for iv in range(n):
-            sw, se = cid(iu, iv), cid(iu + 1, iv)
-            ne, nw = cid(iu + 1, iv + 1), cid(iu, iv + 1)
-            ctr = mid(iu, iv)
-            for tri in ((sw, se, ctr), (se, ne, ctr), (ne, nw, ctr), (nw, sw, ctr)):
-                tris.append(tri)
-                qsum = int(qu[tri[0]] + qv[tri[0]] + qu[tri[1]] + qv[tri[1]]
-                           + qu[tri[2]] + qv[tri[2]])
-                upper.append(qsum > 0)
-            if iv == n - 1:
-                bnodes.append((ne, nw)); bside.append(0)   # v = +L
-            if iu == n - 1:
-                bnodes.append((se, ne)); bside.append(1)   # u = +L
-            if iu == 0:
-                bnodes.append((nw, sw)); bside.append(2)   # u = -L
-            if iv == 0:
-                bnodes.append((sw, se)); bside.append(3)   # v = -L
+    # cells in (iu, iv) order, corner ids iu * (n + 1) + iv, centre ids after
+    iu, iv = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    sw = iu * (n + 1) + iv
+    se, ne, nw = sw + n + 1, sw + n + 2, sw + 1
+    ctr = (n + 1) * (n + 1) + iu * n + iv
+    tris = np.stack(
+        [sw, se, ctr, se, ne, ctr, ne, nw, ctr, nw, sw, ctr], axis=1
+    ).reshape(-1, 3)
+    upper = (qu[tris] + qv[tris]).sum(axis=1) > 0
+    # per cell, in this order: v = +L, u = +L, u = -L, v = -L (EDGE_IDS order)
+    sides = np.stack([ne, nw, se, ne, nw, sw, sw, se], axis=1).reshape(-1, 4, 2)
+    on_side = np.stack([iv == n - 1, iu == n - 1, iu == 0, iv == 0], axis=1)
 
     u = L * qu / n
     v = L * qv / n
     nodes = np.column_stack([(u - v) * _INV_SQRT2, (u + v) * _INV_SQRT2])
     return Mesh(
         nodes=nodes,
-        triangles=np.array(tris, dtype=np.int64),
-        bedge_nodes=np.array(bnodes, dtype=np.int64),
-        bedge_side=np.array(bside, dtype=np.int64),
-        tri_upper=np.array(upper, dtype=bool),
+        triangles=tris,
+        bedge_nodes=sides[on_side],
+        bedge_side=np.nonzero(on_side)[1],
+        tri_upper=upper,
         refinement_level=n,
         S=S,
         qu=qu,
@@ -174,52 +160,48 @@ def refine_mesh(mesh: Mesh) -> Mesh:
         raise ContractError("mesh lacks integer labels; cannot refine")
     L = math.sqrt(mesh.S / 2.0)
     den = 2 * mesh.q_den
-    key_to_id = {(2 * int(a), 2 * int(b)): i
-                 for i, (a, b) in enumerate(zip(mesh.qu, mesh.qv))}
-    qu = [2 * int(a) for a in mesh.qu]
-    qv = [2 * int(b) for b in mesh.qv]
+    n_old = mesh.dof_count
+    i, j, k = mesh.triangles.T
+    # edge midpoints (ij, jk, ki) per triangle, labelled by the sum of the end
+    # labels; numbered after the old nodes in the order triangles reach them
+    ends = np.stack([i, j, j, k, k, i], axis=1).reshape(-1, 2)
+    mu, mv = mesh.qu[ends].sum(axis=1), mesh.qv[ends].sum(axis=1)
+    keys, first, inverse = np.unique(
+        _label_key(mu, mv, den), return_index=True, return_inverse=True
+    )
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    mij, mjk, mki = (n_old + rank[inverse]).reshape(-1, 3).T
+    tris = np.stack(
+        [i, mij, mki, mij, j, mjk, mki, mjk, k, mij, mjk, mki], axis=1
+    ).reshape(-1, 3)
+    a, b = mesh.bedge_nodes.T
+    bkeys = _label_key(mesh.qu[a] + mesh.qu[b], mesh.qv[a] + mesh.qv[b], den)
+    m = n_old + rank[np.searchsorted(keys, bkeys)]
 
-    def midpoint(i, j):
-        key = (qu[i] + qu[j]) // 2, (qv[i] + qv[j]) // 2
-        node = key_to_id.get(key)
-        if node is None:
-            node = len(qu)
-            key_to_id[key] = node
-            qu.append(key[0])
-            qv.append(key[1])
-        return node
-
-    tris = []
-    upper = []
-    for (i, j, k), up in zip(mesh.triangles, mesh.tri_upper):
-        mij, mjk, mki = midpoint(i, j), midpoint(j, k), midpoint(k, i)
-        tris.extend([(i, mij, mki), (mij, j, mjk), (mki, mjk, k), (mij, mjk, mki)])
-        upper.extend([up] * 4)
-
-    bnodes = []
-    bside = []
-    for (a, b), s in zip(mesh.bedge_nodes, mesh.bedge_side):
-        m = midpoint(int(a), int(b))
-        bnodes.extend([(int(a), m), (m, int(b))])
-        bside.extend([s, s])
-
-    qu = np.array(qu, dtype=np.int64)
-    qv = np.array(qv, dtype=np.int64)
+    new = np.sort(first)
+    qu = np.concatenate([2 * mesh.qu, mu[new]])
+    qv = np.concatenate([2 * mesh.qv, mv[new]])
     u = L * qu / den
     v = L * qv / den
     nodes = np.column_stack([(u - v) * _INV_SQRT2, (u + v) * _INV_SQRT2])
     return Mesh(
         nodes=nodes,
-        triangles=np.array(tris, dtype=np.int64),
-        bedge_nodes=np.array(bnodes, dtype=np.int64),
-        bedge_side=np.array(bside, dtype=np.int64),
-        tri_upper=np.array(upper, dtype=bool),
+        triangles=tris,
+        bedge_nodes=np.stack([a, m, m, b], axis=1).reshape(-1, 2),
+        bedge_side=np.repeat(mesh.bedge_side, 2),
+        tri_upper=np.repeat(mesh.tri_upper, 4),
         refinement_level=2 * mesh.refinement_level,
         S=mesh.S,
         qu=qu,
         qv=qv,
         q_den=den,
     )
+
+
+def _label_key(qu: np.ndarray, qv: np.ndarray, den: int) -> np.ndarray:
+    """One integer per label pair (qu, qv) in [-den, den]^2."""
+    return (qu + den) * (2 * den + 1) + (qv + den)
 
 
 def symmetry_permutation(mesh: Mesh, which: str) -> np.ndarray:
@@ -233,17 +215,10 @@ def symmetry_permutation(mesh: Mesh, which: str) -> np.ndarray:
     """
     if mesh.qu is None:
         raise ContractError("mesh lacks integer labels")
-    lookup = {(int(a), int(b)): i for i, (a, b) in enumerate(zip(mesh.qu, mesh.qv))}
-    perm = np.empty(len(mesh.qu), dtype=np.int64)
-    for i, (a, b) in enumerate(zip(mesh.qu, mesh.qv)):
-        a, b = int(a), int(b)
-        if which == "x":
-            key = (b, a)
-        elif which == "y":
-            key = (-b, -a)
-        elif which == "swap":
-            key = (a, -b)
-        else:
-            raise ValueError(f"unknown symmetry {which!r}")
-        perm[i] = lookup[key]
-    return perm
+    qu, qv, den = mesh.qu, mesh.qv, mesh.q_den
+    images = {"x": (qv, qu), "y": (-qv, -qu), "swap": (qu, -qv)}
+    if which not in images:
+        raise ValueError(f"unknown symmetry {which!r}")
+    ids = np.full((2 * den + 1) ** 2, -1, dtype=np.int64)
+    ids[_label_key(qu, qv, den)] = np.arange(len(qu))
+    return ids[_label_key(*images[which], den)]

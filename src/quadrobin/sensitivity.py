@@ -29,11 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (
-    boundary_mass_matrices,
-    stiffness_matrix,
-    weighted_mass_matrix,
-)
+from .assembly import affine_combination
 from .coefficients import PARAMS, first_tables, second_tables
 from .errors import ConditioningError, ContractError, DomainError, EigenSolveError
 from .geometry import QuadParams
@@ -86,40 +82,28 @@ class Workspace:
                 f"spectral gap {gap:.3e} too small for derivative solves", gap=gap
             )
         self._d1 = first_tables(self.p)
-        self._d2 = None
-        self._boundary = boundary_mass_matrices(self.mesh)
+        self._d2 = second_tables(self.p)
         self._K_v: dict[str, sp.csr_matrix] = {}
         self._M_v: dict[str, sp.csr_matrix | None] = {}
         self._psi_v: dict[str, np.ndarray] = {}
         self._lu = None
 
-    # -- derivative systems -------------------------------------------------
-    def _assemble_like(self, coeffs) -> sp.csr_matrix:
-        K = stiffness_matrix(self.mesh, coeffs.G_upper, coeffs.G_lower)
-        for s in range(4):
-            w = self.alpha * coeffs.edge[s]
-            if w != 0.0:
-                K = K + w * self._boundary[s]
-        return K.tocsr()
-
+    # -- derivative systems: weighted sums of the mesh's affine blocks ---------
     def stiffness_derivative(self, v: str) -> sp.csr_matrix:
         if v not in self._K_v:
-            self._K_v[v] = self._assemble_like(self._d1[v])
+            d = self._d1[v]
+            self._K_v[v] = affine_combination(self.mesh, (d.G_upper, d.G_lower), self.alpha * d.edge)
         return self._K_v[v]
 
     def mass_derivative(self, v: str) -> sp.csr_matrix | None:
         if v not in self._M_v:
             dm = self._d1[v].mass
-            if np.all(dm == 0.0):
-                self._M_v[v] = None
-            else:
-                self._M_v[v] = weighted_mass_matrix(self.mesh, dm[0], dm[1])
+            self._M_v[v] = None if np.all(dm == 0.0) else affine_combination(self.mesh, mass=dm)
         return self._M_v[v]
 
     def stiffness_second_derivative(self, v1: str, v2: str) -> sp.csr_matrix:
-        if self._d2 is None:
-            self._d2 = second_tables(self.p)
-        return self._assemble_like(self._d2[(v1, v2)])
+        d = self._d2[(v1, v2)]
+        return affine_combination(self.mesh, (d.G_upper, d.G_lower), self.alpha * d.edge)
 
     def _effective(self, v: str, vec: np.ndarray) -> np.ndarray:
         """(K^v - lambda M^v) vec."""

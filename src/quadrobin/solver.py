@@ -171,6 +171,26 @@ def _inverse_iteration(K, M, sigma, v0, target, max_iterations):
     )
 
 
+def _checked_pair(system, tol, lam, v, iterations, method, shift=None) -> EigenPair:
+    """The M-normalised pair, once ||(K - lam M) v|| <= tol * ||K||_inf holds."""
+    K, M = system.stiffness_plus_boundary, system.mass
+    v = _normalize(v, M)
+    res = float(np.linalg.norm(K @ v - lam * (M @ v)))
+    target = tol * float(np.abs(K).sum(axis=1).max())
+    if res > target:
+        raise EigenSolveError(
+            "eigensolver did not reach the requested residual",
+            diagnostics={
+                "method": method,
+                "residual": res,
+                "target": target,
+                "lambda": lam,
+                "iterations": iterations,
+            },
+        )
+    return EigenPair(float(lam), v, res, iterations, method, shift)
+
+
 def solve_lowest(
     system: AssembledSystem,
     shift: float | None = None,
@@ -187,28 +207,10 @@ def solve_lowest(
     K = system.stiffness_plus_boundary
     M = system.mass
     n = system.dof_count
-    norm_K = float(np.abs(K).sum(axis=1).max())
-    target = tol * norm_K
-
-    def finish(lam, v, iterations, method, shift_used=None):
-        v = _normalize(v, M)
-        res = float(np.linalg.norm(K @ v - lam * (M @ v)))
-        if res > target:
-            raise EigenSolveError(
-                "eigensolver did not reach the requested residual",
-                diagnostics={
-                    "method": method,
-                    "residual": res,
-                    "target": target,
-                    "lambda": lam,
-                    "iterations": iterations,
-                },
-            )
-        return EigenPair(float(lam), v, res, iterations, method, shift_used)
 
     if n <= _DENSE_LIMIT:
         vals, vecs = _dense_lowest(system)
-        return finish(vals[0], vecs[:, 0], 1, "dense")
+        return _checked_pair(system, tol, vals[0], vecs[:, 0], 1, "dense")
 
     sigma = float(shift) if shift is not None else safe_shift(system.params, system.alpha)
     v0 = np.ones(n)
@@ -242,15 +244,18 @@ def solve_lowest(
             v0=v0,
             maxiter=max_iterations,
         )
-        return finish(vals[0], vecs[:, 0], attempt + 1, "lanczos-shift-invert", sigma)
+        return _checked_pair(
+            system, tol, vals[0], vecs[:, 0], attempt + 1, "lanczos-shift-invert", sigma
+        )
     except EigenSolveError:
         raise
     except Exception as exc:
         try:
+            target = tol * float(np.abs(K).sum(axis=1).max())
             lam, v, its = _inverse_iteration(
                 K, M, sigma, _normalize(v0, M), target, max_iterations
             )
-            return finish(lam, v, its, "inverse-iteration", sigma)
+            return _checked_pair(system, tol, lam, v, its, "inverse-iteration", sigma)
         except EigenSolveError as exc2:
             raise EigenSolveError(
                 "all eigensolver strategies failed",
@@ -280,27 +285,12 @@ def solve_quad(
 
     if system.dof_count <= _DENSE_LIMIT:
         vals, vecs = _dense_lowest(system)
-        v = _normalize(vecs[:, 0], system.mass)
-        res = float(
-            np.linalg.norm(
-                system.stiffness_plus_boundary @ v - vals[0] * (system.mass @ v)
-            )
-        )
-        norm_K = float(np.abs(system.stiffness_plus_boundary).sum(axis=1).max())
-        if res > tol * norm_K:
-            raise EigenSolveError(
-                "dense solve did not reach the requested residual",
-                diagnostics={"residual": res, "target": tol * norm_K, "lambda": vals[0]},
-            )
-        gap = float(vals[1] - vals[0]) if len(vals) > 1 else None
-        return EigenState(p, alpha, mesh, system, float(vals[0]), v, res, gap, form)
-
-    coarse = build_mesh(min(coarse_level, mesh.refinement_level), p.S)
-    cvals, _ = _dense_lowest(assemble(p, alpha, coarse))
-    pair = solve_lowest(
-        system, shift=safe_shift(p, alpha, float(cvals[0])), tol=tol
-    )
-    gap = float(cvals[1] - cvals[0]) if len(cvals) > 1 else None
+        pair = _checked_pair(system, tol, vals[0], vecs[:, 0], 1, "dense")
+    else:
+        coarse = build_mesh(min(coarse_level, mesh.refinement_level), p.S)
+        vals, _ = _dense_lowest(assemble(p, alpha, coarse))
+        pair = solve_lowest(system, shift=safe_shift(p, alpha, float(vals[0])), tol=tol)
+    gap = float(vals[1] - vals[0]) if len(vals) > 1 else None
     return EigenState(
         p, alpha, mesh, system, pair.lambda_h, pair.psi_h, pair.residual, gap, form
     )

@@ -163,11 +163,6 @@ class SquareSolution:
     grad_norm_sq: float
 
     @property
-    def edge_norm_sq(self) -> float:
-        """Squared trace norm on any single edge (all four are equal)."""
-        return 0.25 * self.boundary_norm_sq
-
-    @property
     def k(self) -> float:
         """Coefficient in the product form: psi ~ A(k(x+y)) A(k(y-x))."""
         return self.t_star / (math.sqrt(2.0) * self.L)

@@ -1,0 +1,62 @@
+"""The affine block core: derivative matrices and the shared CSR pattern."""
+
+import numpy as np
+
+from quadrobin.assembly import affine_blocks, assemble_transformed
+from quadrobin.coefficients import PARAMS
+from quadrobin.geometry import QuadParams
+from quadrobin.mesh import build_mesh
+from quadrobin.sensitivity import Workspace
+from quadrobin.solver import solve_quad
+
+POINT = QuadParams(0.35, -0.2, 1.15, 0.85)
+ALPHA = -1.3
+
+
+def _K(mesh, **shift):
+    p = QuadParams(**{**POINT.to_dict(), **{v: getattr(POINT, v) + h for v, h in shift.items()}})
+    return assemble_transformed(p, ALPHA, mesh).stiffness_plus_boundary.toarray()
+
+
+def _M(mesh, S1):
+    p = QuadParams(**{**POINT.to_dict(), "S1": S1})
+    return assemble_transformed(p, ALPHA, mesh).mass.toarray()
+
+
+def _assert_close(got, expected, rtol):
+    assert np.abs(got.toarray() - expected).max() <= rtol * np.abs(expected).max()
+
+
+def test_derivative_matrices_match_central_differences():
+    mesh = build_mesh(8)
+    ws = Workspace(solve_quad(POINT, ALPHA, mesh))
+    h = 1e-5
+    for v in PARAMS:
+        fd = (_K(mesh, **{v: h}) - _K(mesh, **{v: -h})) / (2 * h)
+        _assert_close(ws.stiffness_derivative(v), fd, 1e-8)
+
+    h = 1e-4
+    fd = (
+        _K(mesh, a1=h, c=h) - _K(mesh, a1=h, c=-h) - _K(mesh, a1=-h, c=h) + _K(mesh, a1=-h, c=-h)
+    ) / (4 * h * h)
+    _assert_close(ws.stiffness_second_derivative("a1", "c"), fd, 1e-6)
+    fd = (_K(mesh, S1=h) - 2 * _K(mesh) + _K(mesh, S1=-h)) / (h * h)
+    _assert_close(ws.stiffness_second_derivative("S1", "S1"), fd, 1e-6)
+
+    h = 1e-5
+    fd = (_M(mesh, POINT.S1 + h) - _M(mesh, POINT.S1 - h)) / (2 * h)
+    _assert_close(ws.mass_derivative("S1"), fd, 1e-9)
+    assert all(ws.mass_derivative(v) is None for v in ("a1", "a2", "c"))
+
+    # one pattern for the pencil and every derivative matrix
+    matrices = [ws.K, ws.M, ws.mass_derivative("S1"), ws.stiffness_second_derivative("c", "S1")]
+    matrices += [ws.stiffness_derivative(v) for v in PARAMS]
+    for A in matrices:
+        assert np.shares_memory(A.indices, ws.K.indices)
+        assert np.shares_memory(A.indptr, ws.K.indptr)
+
+    # a second assembly on the same mesh reuses the cached blocks
+    blocks = affine_blocks(mesh)
+    again = assemble_transformed(QuadParams(-0.4, 0.5, 0.9, 1.2), -0.5, mesh)
+    assert affine_blocks(mesh) is blocks
+    assert np.shares_memory(again.stiffness_plus_boundary.indices, blocks.indices)
