@@ -79,14 +79,21 @@ class AssembledSystem:
     kind: str  # "transformed" | "direct" | "plain"
 
 
+def _respects_split(mesh: Mesh) -> bool:
+    """Whether every triangle lies on its labelled side of the line y = 0."""
+    y = mesh.nodes[mesh.triangles][:, :, 1]
+    tol = 1e-12 * math.sqrt(mesh.S)
+    bad_up = mesh.tri_upper & (y < -tol).any(axis=1)
+    bad_dn = ~mesh.tri_upper & (y > tol).any(axis=1)
+    return not (bad_up.any() or bad_dn.any())
+
+
 def _check_mesh(p: QuadParams, mesh: Mesh) -> None:
     if abs(mesh.S - p.S) > 1e-12 * max(1.0, p.S):
         raise ContractError(f"mesh built for S={mesh.S}, parameters have S={p.S}")
-    y = mesh.nodes[mesh.triangles][:, :, 1]
-    tol = 1e-12 * math.sqrt(p.S)
-    bad_up = mesh.tri_upper & (y < -tol).any(axis=1)
-    bad_dn = ~mesh.tri_upper & (y > tol).any(axis=1)
-    if bad_up.any() or bad_dn.any():
+    if mesh.split_ok is None:  # the scan depends on the mesh alone: once per mesh
+        mesh.split_ok = _respects_split(mesh)
+    if not mesh.split_ok:
         raise ContractError("mesh has triangles crossing the line y = 0")
 
 

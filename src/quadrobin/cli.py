@@ -109,11 +109,13 @@ def _parse_grid(spec: str) -> tuple[str, np.ndarray]:
     return name, np.linspace(lo, hi, count)
 
 
-def _threads() -> int:
+def _threads(cells: int) -> int:
+    """Sweep workers: QUADROBIN_THREADS, capped by the CPU count and the cells."""
     try:
-        return max(1, int(os.environ.get("QUADROBIN_THREADS", "1")))
+        requested = int(os.environ.get("QUADROBIN_THREADS", "1"))
     except ValueError:
         return 1
+    return max(1, min(requested, os.cpu_count() or 1, cells))
 
 
 @lru_cache(maxsize=None)
@@ -162,7 +164,7 @@ def _run_sweep(cfg: RunConfig) -> list[dict]:
         if alpha is None or alpha == 0.0:
             raise ValidationError("sweep needs a nonzero alpha (flag or grid)")
         tasks.append((index, pdict, alpha, cfg.mesh))
-    workers = _threads()
+    workers = _threads(len(tasks))
     if workers == 1:
         return [_sweep_cell(t) for t in tasks]
     import multiprocessing

@@ -54,6 +54,8 @@ class Mesh:
     q_den: int = 0
     # unit blocks of the pullback form, built on first use (assembly.affine_blocks)
     affine_blocks: object = field(default=None, init=False, repr=False, compare=False)
+    # whether no triangle crosses y = 0, scanned on first assembly (assembly._check_mesh)
+    split_ok: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dof_count(self) -> int:

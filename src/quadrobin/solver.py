@@ -9,8 +9,13 @@ The strategy here is
 1. a dense solve for small systems (also supplying spectral-gap estimates),
 2. otherwise a shift certified to lie below the whole spectrum: the matrix
    inertia of K - sigma M (negative-pivot count of its factorisation) is
-   checked to be zero, walking the shift down from a coarse-mesh anchor
-   until it is,
+   checked to be zero, walking the shift down from an anchor until it is.
+   The anchor is the coarse-mesh eigenvalue less half its size.  When the
+   coarse mesh cannot resolve the 1/|alpha| boundary layer
+   (|alpha| h_coarse > 1) that value lies far above the corner-concentrated
+   ground state, so the anchor is capped by the corner asymptotic
+   1.1 * (-alpha^2 max_i csc^2(theta_i/2)) - 1; the first count then
+   certifies it and the solve factorises once,
 3. Lanczos shift-invert at that certified shift, reusing the factorisation:
    with the shift below the spectrum, the dominant shift-inverted eigenvalue
    *is* the lowest one,
@@ -52,6 +57,7 @@ _ASSEMBLERS = {
 }
 
 _DENSE_LIMIT = 1200
+_COARSE_LEVEL = 8  # solve_quad's default coarse companion mesh
 
 
 @dataclass
@@ -116,7 +122,13 @@ def safe_shift(p: QuadParams, alpha: float, coarse_lambda: float | None = None) 
     if coarse_lambda is not None:
         # moderate anchor; the inertia check in solve_lowest walks it further
         # down if the coarse mesh underestimated the corner concentration
-        return min(-1.0, coarse_lambda - 0.5 * abs(coarse_lambda) - 1.0)
+        anchor = min(-1.0, coarse_lambda - 0.5 * abs(coarse_lambda) - 1.0)
+        if -alpha * math.sqrt(2.0 * p.S) / _COARSE_LEVEL > 1.0:
+            # alpha < 0 and the coarse mesh cannot resolve the 1/|alpha| layer,
+            # so its value sits well above the corner-concentrated ground
+            # state (step 2); for alpha > 0 the corner term means nothing
+            return min(anchor, 1.1 * _corner_scale(p, alpha) - 1.0)
+        return anchor
     candidates = [-1.0]
     if alpha < 0.0:
         candidates.append(
@@ -268,7 +280,7 @@ def solve_quad(
     alpha: float,
     mesh: Mesh | int,
     form: str = "transformed",
-    coarse_level: int = 8,
+    coarse_level: int = _COARSE_LEVEL,
     tol: float = 1e-10,
 ) -> EigenState:
     """Assemble and solve the lowest eigenpair for (p, alpha) on a mesh.

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as dla
 
+from quadrobin import assembly
 from quadrobin.assembly import (
     BoundaryLayerWarning,
     assemble_direct,
@@ -171,3 +172,25 @@ def test_export_coo(tmp_path, meshes):
     assert nnz == len(lines) - 1
     r, c, v = lines[1].split()
     assert sys.stiffness_plus_boundary[int(r), int(c)] == float(v)
+
+
+def test_split_scan_runs_once_per_mesh_and_rejects_a_crossing(monkeypatch):
+    mesh = build_mesh(4)
+    moved = build_mesh(4)
+    upper = moved.triangles[moved.tri_upper]
+    node = next(k for k in upper.ravel() if moved.nodes[k, 1] > 0.0)
+    moved.nodes[node, 1] = -moved.nodes[node, 1]  # across y = 0
+    with pytest.raises(ContractError):
+        assemble_transformed(QuadParams.square(), -1.0, moved)
+    with pytest.raises(ContractError):  # the cached verdict keeps rejecting
+        assemble_direct(QuadParams.square(), -1.0, moved)
+
+    scans = []
+    scan = assembly._respects_split
+    monkeypatch.setattr(assembly, "_respects_split", lambda m: scans.append(m) or scan(m))
+    assemble_transformed(QuadParams.square(), -1.0, mesh)
+    assemble_transformed(QuadParams(0.3, -0.2, 1.3, 0.55), -2.0, mesh)
+    assemble_direct(QuadParams.square(), -1.0, mesh)
+    assert scans == [mesh]
+    with pytest.raises(ContractError):  # the S check still runs on every call
+        assemble_transformed(QuadParams.square(2.0), -1.0, mesh)

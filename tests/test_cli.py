@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import multiprocessing
+import os
 
 
 import numpy as np
@@ -172,3 +174,32 @@ def test_square_requires_nonzero_alpha_everywhere(capsys):
     code, _, err = run_cli(capsys, "verify-theorem1", "--alpha", "0.5", "--mesh", "8")
     assert code == 2
     assert json.loads(err)["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize("cpus, expected", [(8, 3), (2, 2)])
+def test_sweep_worker_count_is_capped(capsys, monkeypatch, cpus, expected):
+    started = []
+
+    class RecordingPool:  # starts no process: maps in this one
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return list(map(fn, tasks))
+
+    argv = ["sweep", "--grid", "a1=-0.05:0.05:3", "--alpha", "-1", "--mesh", "4"]
+    code, serial, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setenv("QUADROBIN_THREADS", "64")
+    code, pooled, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert started == [expected]
+    assert pooled == serial
