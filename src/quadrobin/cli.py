@@ -423,6 +423,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             cfg.grids[name] = values
     if cfg.mesh < 2:
         raise ValidationError(f"--mesh must be >= 2, got {cfg.mesh}")
+    if cfg.trials < 1:
+        raise ValidationError(f"--trials must be >= 1, got {cfg.trials}")
     if cfg.command in _NEEDS_ALPHA:
         if cfg.alpha is None or cfg.alpha == 0.0:
             raise ValidationError(f"{cfg.command} requires a nonzero --alpha")

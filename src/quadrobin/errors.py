@@ -10,7 +10,8 @@ class DomainError(QuadRobinError, ValueError):
 
 
 class ParameterDomainError(DomainError):
-    """Quadrilateral parameters violate c > 0, 0 < S1 < 2S or S > 0."""
+    """Quadrilateral parameters violate c > 0, 0 < S1 < 2S or S > 0, or a
+    sampling count (rotations, samples per edge) is below 1."""
 
 
 class GeometryError(QuadRobinError):

@@ -3,11 +3,14 @@ import io
 import json
 import multiprocessing
 import os
-
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quadrobin
 from quadrobin.cli import RunConfig, main
 from quadrobin.square_exact import solve_square
 
@@ -174,6 +177,28 @@ def test_square_requires_nonzero_alpha_everywhere(capsys):
     code, _, err = run_cli(capsys, "verify-theorem1", "--alpha", "0.5", "--mesh", "8")
     assert code == 2
     assert json.loads(err)["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_theorem3_rejects_trial_counts_below_one(capsys, trials):
+    code, out, err = run_cli(
+        capsys, "verify-theorem3", "--alpha", "-1", "--trials", trials
+    )
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation" and "--trials" in error["message"]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(quadrobin.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "quadrobin", "solve-square", "--alpha", "-1"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["command"] == "solve-square"
 
 
 @pytest.mark.parametrize("cpus, expected", [(8, 3), (2, 2)])

@@ -17,8 +17,10 @@ from quadrobin.geometry import (
     map_inverse,
     perimeter,
     polygon_area,
+    polygon_centroid,
     pullback_inner_products,
     quad_vertices,
+    reference_square_vertices,
 )
 
 from conftest import random_params
@@ -244,3 +246,127 @@ def test_hausdorff_small_perturbation_is_small():
         QuadParams(0.1, 0.0, 1.0, 1.0), rotations=180, samples_per_edge=200
     )
     assert 0.0 < d < 0.2
+
+
+# --- the rotation loop hausdorff_distance_to_square replaced, as the oracle ---
+
+
+def _sample_boundary(vertices: np.ndarray, per_edge: int) -> np.ndarray:
+    t = np.linspace(0.0, 1.0, per_edge, endpoint=False)
+    chunks = []
+    for k in range(len(vertices)):
+        a = vertices[k]
+        b = vertices[(k + 1) % len(vertices)]
+        chunks.append(a[None, :] + t[:, None] * (b - a)[None, :])
+    return np.concatenate(chunks, axis=0)
+
+
+def _points_in_polygon(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Crossing-number containment test for a simple polygon (vectorized)."""
+    x, y = points[:, 0], points[:, 1]
+    inside = np.zeros(len(points), dtype=bool)
+    n = len(vertices)
+    for k in range(n):
+        x0, y0 = vertices[k]
+        x1, y1 = vertices[(k + 1) % n]
+        crosses = (y0 > y) != (y1 > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+        inside ^= crosses & (x < np.where(crosses, xi, np.inf))
+    return inside
+
+
+def _dist_to_boundary(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Distance from each point to the polygon boundary (min over segments)."""
+    best = np.full(len(points), np.inf)
+    n = len(vertices)
+    for k in range(n):
+        a = vertices[k]
+        b = vertices[(k + 1) % n]
+        ab = b - a
+        denom = float(np.dot(ab, ab))
+        t = np.clip((points - a) @ ab / denom, 0.0, 1.0)
+        proj = a[None, :] + t[:, None] * ab[None, :]
+        best = np.minimum(best, np.linalg.norm(points - proj, axis=1))
+    return best
+
+
+def _directed_hausdorff(samples: np.ndarray, target: np.ndarray) -> float:
+    d = _dist_to_boundary(samples, target)
+    d[_points_in_polygon(samples, target)] = 0.0
+    return float(d.max())
+
+
+def _loop_hausdorff_reference(
+    p: QuadParams, rotations: int = 720, samples_per_edge: int = 1000
+) -> float:
+    """The per-rotation loop the vectorised distance replaced, kept verbatim."""
+    square = reference_square_vertices(p.S)
+    quad = quad_vertices(p) - polygon_centroid(quad_vertices(p))
+    quad_samples = _sample_boundary(quad, samples_per_edge)
+    square_samples = _sample_boundary(square, samples_per_edge)
+
+    best = np.inf
+    angles = np.linspace(0.0, 2.0 * math.pi, rotations, endpoint=False)
+    for theta in angles:
+        rot = np.array(
+            [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+        )
+        rq_vertices = quad @ rot.T
+        rq_samples = quad_samples @ rot.T
+        d = max(
+            _directed_hausdorff(rq_samples, square),
+            _directed_hausdorff(square_samples, rq_vertices),
+        )
+        best = min(best, d)
+    return best
+
+
+def _oracle_shapes(rng, count):
+    """Random members, non-convex ones included: |a_j| <= 4, c in [0.3, 3]."""
+    return [
+        QuadParams(
+            float(rng.uniform(-4.0, 4.0)),
+            float(rng.uniform(-4.0, 4.0)),
+            float(rng.uniform(0.3, 3.0)),
+            float(rng.uniform(0.1, 1.9)),
+        )
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "rotations, samples_per_edge, count",
+    [(90, 150, 136), (180, 200, 34), (180, 250, 34)],
+)
+def test_hausdorff_matches_the_rotation_loop(rotations, samples_per_edge, count):
+    rng = np.random.default_rng(rotations * 1000 + samples_per_edge)
+    shapes = _oracle_shapes(rng, count)
+    assert any(not is_convex(p) for p in shapes) and any(is_convex(p) for p in shapes)
+    for p in shapes:
+        want = _loop_hausdorff_reference(p, rotations, samples_per_edge)
+        got = hausdorff_distance_to_square(p, rotations, samples_per_edge)
+        assert abs(got - want) <= 1e-12, (p, got, want)
+    assert hausdorff_distance_to_square(
+        QuadParams.square(), rotations, samples_per_edge
+    ) <= 1e-12
+
+
+def test_hausdorff_matches_the_rotation_loop_at_the_defaults():
+    shapes = [
+        QuadParams(0.6, -0.4, 1.2, 0.8),  # convex
+        QuadParams(3.0, 0.0, 1.0, 1.0),  # reflex vertex at (c, 0)
+        QuadParams(-0.9, 1.7, 2.1, 2.9, S=2.0),
+    ]
+    assert not is_convex(shapes[1])
+    for p in shapes:
+        want = _loop_hausdorff_reference(p)
+        assert abs(hausdorff_distance_to_square(p) - want) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "rotations, samples_per_edge", [(0, 100), (-3, 100), (90, 0), (90, -1)]
+)
+def test_hausdorff_rejects_empty_searches(rotations, samples_per_edge):
+    with pytest.raises(ParameterDomainError):
+        hausdorff_distance_to_square(QuadParams.square(), rotations, samples_per_edge)
