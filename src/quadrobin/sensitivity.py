@@ -10,6 +10,15 @@ With psi the M-normalised eigenvector,
     d2 lambda / dv1 dv2    = psi^T (K^{v1v2} - lambda^{v2} M^{v1}) psi
                              + 2 psi^{v2,T} (K^{v1} - lambda M^{v1}) psi.
 
+The eigenvector derivatives use Nelson's method (R. B. Nelson, AIAA J. 14,
+1976).  lambda is the simple lowest eigenvalue, so K - lambda M is positive
+semidefinite with kernel span(psi).  Replacing its row and column k =
+argmax |psi| by the unit vector e_k leaves a positive-definite matrix
+(Cauchy interlacing, psi_k != 0), factorised once like the solver's inertia
+count.  Its solution w has w_k = 0 and satisfies every row but k; the right
+side is orthogonal to psi, so row k holds too, and the full residual check
+confirms it.  Then psi^v = w + (-1/2 psi^T M^v psi - psi^T M w) psi.
+
 The mass depends on the parameters only through the per-half weights Sj/S,
 so M^v vanishes except for v = S1 (where it is linear, hence M^{v1v2} = 0)
 and the formulas reduce to the familiar stiffness-only expressions in the
@@ -27,14 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import affine_combination
 from .coefficients import PARAMS, first_tables, second_tables
 from .errors import ConditioningError, ContractError, DomainError, EigenSolveError
 from .geometry import QuadParams
 from .mesh import Mesh, build_mesh
-from .solver import EigenState, solve_quad
+from .solver import EigenState, _symmetric_lu, solve_quad
 from .square_exact import solve_square
 
 __all__ = [
@@ -63,7 +71,7 @@ def _as_mesh(mesh: Mesh | int, S: float) -> Mesh:
 
 
 class Workspace:
-    """Solved eigenpair plus cached derivative systems and bordered solver."""
+    """Solved eigenpair plus cached derivative systems and the reduced factor."""
 
     def __init__(self, state: EigenState):
         if state.form != "transformed":
@@ -86,6 +94,7 @@ class Workspace:
         self._K_v: dict[str, sp.csr_matrix] = {}
         self._M_v: dict[str, sp.csr_matrix | None] = {}
         self._psi_v: dict[str, np.ndarray] = {}
+        self._k = int(np.argmax(np.abs(self.psi)))
         self._lu = None
 
     # -- derivative systems: weighted sums of the mesh's affine blocks ---------
@@ -120,36 +129,39 @@ class Workspace:
     def gradient(self) -> np.ndarray:
         return np.array([self.first(v) for v in PARAMS])
 
-    def _bordered_lu(self):
+    def _reduced_lu(self):
+        """SuperLU factor of K - lambda M with row and column k set to e_k."""
         if self._lu is None:
-            n = len(self.psi)
-            Mpsi = self.M @ self.psi
-            A = sp.bmat(
-                [[self.K - self.lam * self.M, Mpsi[:, None]], [Mpsi[None, :], None]],
-                format="csc",
-            )
-            self._lu = spla.splu(A)
-            self._Mpsi = Mpsi
+            A = (self.K - self.lam * self.M).tocsc()
+            k = self._k
+            A.data[A.indices == k] = 0.0
+            A.data[A.indptr[k] : A.indptr[k + 1]] = 0.0
+            A[k, k] = 1.0
+            self._lu = _symmetric_lu(A)
         return self._lu
 
     def eigenvector_derivative(self, v: str) -> np.ndarray:
         if v not in self._psi_v:
-            lu = self._bordered_lu()
-            rhs_top = -self._effective(v, self.psi) + self.first(v) * self._Mpsi
+            lu = self._reduced_lu()
+            k, psi = self._k, self.psi
+            rhs = -self._effective(v, psi) + self.first(v) * (self.M @ psi)
+            reduced = rhs.copy()
+            reduced[k] = 0.0
+            w = lu.solve(reduced)
             Mv = self.mass_derivative(v)
-            constraint = 0.0 if Mv is None else -0.5 * float(self.psi @ (Mv @ self.psi))
-            sol = lu.solve(np.concatenate([rhs_top, [constraint]]))
-            psi_v = sol[:-1]
-            resid = np.linalg.norm(
-                (self.K - self.lam * self.M) @ psi_v
-                + sol[-1] * self._Mpsi
-                - rhs_top
-            )
-            scale = max(1.0, float(np.linalg.norm(rhs_top)))
+            c0 = 0.0 if Mv is None else -0.5 * float(psi @ (Mv @ psi))
+            psi_v = w + (c0 - float(psi @ (self.M @ w))) * psi
+            resid = float(np.linalg.norm(self.K @ psi_v - self.lam * (self.M @ psi_v) - rhs))
+            scale = max(1.0, float(np.linalg.norm(rhs)))
             if resid > 1e-9 * scale:
                 raise EigenSolveError(
-                    "bordered eigenvector-derivative solve did not converge",
-                    diagnostics={"residual": resid, "direction": v},
+                    "eigenvector-derivative solve failed its residual check",
+                    diagnostics={
+                        "residual": resid,
+                        "direction": v,
+                        "index": k,
+                        "abs_psi_k": abs(float(psi[k])),
+                    },
                 )
             self._psi_v[v] = psi_v
         return self._psi_v[v]
@@ -196,7 +208,7 @@ def gradient(p: QuadParams, alpha: float, mesh: Mesh | int, state=None) -> np.nd
 
 
 def eigenvector_derivative(p: QuadParams, alpha: float, v: str, mesh: Mesh | int, state=None) -> np.ndarray:
-    """Derivative of the M-normalised eigenvector, via the bordered system."""
+    """Derivative of the M-normalised eigenvector, by Nelson's method."""
     return _workspace(p, alpha, mesh, state).eigenvector_derivative(v)
 
 
@@ -265,7 +277,7 @@ class SquareHessian:
     normalisation, whose S1 entry is (3/S^2) grad + (5 alpha / 4 S^2) trace;
     the two differ only there, by (2/S^2) grad + (alpha/S^2) trace.
     ``corrections`` are the eigenvector-relaxation terms
-    2 (lambda ||psi^v||^2 - h[psi^v]) from the discrete bordered solves.
+    2 (lambda ||psi^v||^2 - h[psi^v]) from the discrete derivative solves.
     """
 
     alpha: float

@@ -144,15 +144,20 @@ def _normalize(v: np.ndarray, M: sp.spmatrix) -> np.ndarray:
     return v
 
 
-def _count_eigenvalues_below(K, M, sigma: float):
-    """Negative-pivot count of K - sigma M (its inertia) plus the factorisation."""
-    shifted = (K - sigma * M).tocsc()
-    lu = spla.splu(
-        shifted,
+def _symmetric_lu(A: sp.csc_matrix):
+    """SuperLU factor of a symmetric matrix with diagonal pivots only, in a
+    minimum-degree order of A + A^T, so the U diagonal carries A's inertia."""
+    return spla.splu(
+        A,
         diag_pivot_thresh=0.0,
         permc_spec="MMD_AT_PLUS_A",
         options={"SymmetricMode": True},
     )
+
+
+def _count_eigenvalues_below(K, M, sigma: float):
+    """Negative-pivot count of K - sigma M (its inertia) plus the factorisation."""
+    lu = _symmetric_lu((K - sigma * M).tocsc())
     return int((lu.U.diagonal() < 0.0).sum()), lu
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -11,7 +12,10 @@ import numpy as np
 import pytest
 
 import quadrobin
+import quadrobin.cli as cli
+from quadrobin import certificates as certs
 from quadrobin.cli import RunConfig, main
+from quadrobin.geometry import QuadParams, hausdorff_distance_to_square
 from quadrobin.square_exact import solve_square
 
 
@@ -228,3 +232,68 @@ def test_sweep_worker_count_is_capped(capsys, monkeypatch, cpus, expected):
     assert code == 0
     assert started == [expected]
     assert pooled == serial
+
+
+def _unscreened_theorem3(alpha, S, trials):
+    """The verify-theorem3 draw loop with the full rotation search on every
+    draw, as it ran before the one-rotation screen."""
+    radius = certs.hausdorff_threshold(alpha, S)
+    th = certs.parameter_thresholds(alpha, S)
+    rng = np.random.default_rng(20240817)
+    c0 = math.sqrt(S)
+    outside_checked = 0
+    violations = []
+    samples = []
+    while outside_checked < trials:
+        mode = rng.integers(0, 4)
+        a1, a2, c, S1 = 0.0, 0.0, c0, S
+        scale = 1.0 + rng.uniform(0.05, 3.0)
+        if mode == 0:
+            a1 = float(rng.choice([-1.0, 1.0])) * th.A * scale
+            a2 = float(rng.uniform(-2, 2))
+        elif mode == 1:
+            c = th.c1 * scale
+        elif mode == 2:
+            c = th.c2 / scale
+        else:
+            S1 = float(th.S_tilde / scale) if rng.random() < 0.5 else float(
+                2 * S - th.S_tilde / scale
+            )
+        c = min(max(c, 1e-6), 1e9)
+        S1 = min(max(S1, 1e-12), 2 * S - 1e-12)
+        p = QuadParams(a1, a2, c, S1, S)
+        d = hausdorff_distance_to_square(p, rotations=180, samples_per_edge=250)
+        if d <= radius:
+            continue
+        outside_checked += 1
+        fired = certs.threshold_conditions(p, alpha, th)
+        samples.append({"params": p.to_dict(), "d_H": d, "conditions": fired})
+        if not fired:
+            violations.append(samples[-1])
+    return (0 if not violations else 1), {
+        "radius": radius,
+        "thresholds": th.to_dict(),
+        "outside_samples_checked": outside_checked,
+        "violations": violations,
+        "samples": samples[:10],
+    }
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -2.0])
+def test_verify_theorem3_screen_keeps_the_artifact(capsys, monkeypatch, alpha):
+    expected_code, expected = _unscreened_theorem3(alpha, 1.0, 30)
+    full_searches = []
+
+    def counting(p, rotations=720, samples_per_edge=1000):
+        if rotations == 180:
+            full_searches.append(p)
+        return hausdorff_distance_to_square(p, rotations, samples_per_edge)
+
+    monkeypatch.setattr(cli, "hausdorff_distance_to_square", counting)
+    code, out, _ = run_cli(
+        capsys, "verify-theorem3", "--alpha", str(alpha), "--trials", "30"
+    )
+    assert code == expected_code
+    artifact = json.loads(out)
+    assert out == json.dumps({**artifact, "result": expected}, indent=2, default=float) + "\n"
+    assert len(full_searches) == artifact["result"]["outside_samples_checked"] == 30

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from conftest import random_params
 from quadrobin.coefficients import PAIRS, PARAMS, first_tables, second_tables
-from quadrobin.errors import ConditioningError, ContractError, DomainError
+from quadrobin.errors import ConditioningError, ContractError, DomainError, EigenSolveError
 from quadrobin.geometry import QuadParams
 from quadrobin.mesh import symmetry_permutation
 from quadrobin.sensitivity import (
@@ -128,6 +131,92 @@ def test_eigenvector_derivative_mass_constraint(meshes):
         Mv = ws.mass_derivative(v)
         expected = 0.0 if Mv is None else -0.5 * float(ws.psi @ (Mv @ ws.psi))
         assert float(ws.psi @ (M @ psi_v)) == pytest.approx(expected, abs=1e-11)
+def _bordered_reference(ws):
+    """psi^v in every direction from the bordered system
+    [[K - lambda M, M psi], [psi^T M, 0]] [psi^v; mu] = [rhs; -1/2 psi^T M^v psi],
+    factorised by SuperLU with its default (COLAMD, partial pivoting) options."""
+    psi = ws.psi
+    Mpsi = ws.M @ psi
+    lu = spla.splu(
+        sp.bmat([[ws.K - ws.lam * ws.M, Mpsi[:, None]], [Mpsi[None, :], None]], format="csc")
+    )
+    out = {}
+    for v in PARAMS:
+        rhs = -(ws.stiffness_derivative(v) @ psi) + ws.first(v) * Mpsi
+        constraint = 0.0
+        Mv = ws.mass_derivative(v)
+        if Mv is not None:
+            rhs += ws.lam * (Mv @ psi)
+            constraint = -0.5 * float(psi @ (Mv @ psi))
+        out[v] = lu.solve(np.concatenate([rhs, [constraint]]))[:-1]
+    return out
+
+
+def _reference_hessian(ws, psi_v):
+    """The Hessian formula of the module docstring, with the given psi^v."""
+    psi = ws.psi
+    H = np.empty((4, 4))
+    for i, v1 in enumerate(PARAMS):
+        effective = ws.stiffness_derivative(v1) @ psi
+        Mv1 = ws.mass_derivative(v1)
+        if Mv1 is not None:
+            effective -= ws.lam * (Mv1 @ psi)
+        for j in range(i, 4):
+            v2 = PARAMS[j]
+            value = float(psi @ (ws.stiffness_second_derivative(v1, v2) @ psi))
+            if Mv1 is not None:
+                value -= ws.first(v2) * float(psi @ (Mv1 @ psi))
+            value += 2.0 * float(psi_v[v2] @ effective)
+            H[i, j] = H[j, i] = value
+    return H
+
+
+def _oracle_cases(rng):
+    cases = []
+    for n, count in ((16, 10), (32, 10)):
+        for p in random_params(rng, count):
+            cases.append((p, float(rng.uniform(-4.0, -0.25)), n))
+    cases += [(QuadParams.square(), -1.0, 16), (QuadParams.square(), -1.0, 32)]
+    # corner regime: the ground state concentrates at the sharpest corner
+    for p in (QuadParams.square(), QuadParams(1.5, -1.0, 0.7, 0.6), QuadParams(-1.2, 0.8, 1.6, 1.3)):
+        cases.append((p, -8.0, 32))
+    return cases
+
+
+def test_nelson_derivatives_match_bordered_reference(rng, meshes):
+    cases = _oracle_cases(rng)
+    assert len(cases) >= 24
+    assert any(p.S1 != p.S for p, _, _ in cases)
+    for p, alpha, n in cases:
+        ws = Workspace(solve_quad(p, alpha, meshes(n)))
+        if p.is_square(tol=0.0):
+            # argmax |psi| is a 4-way tie between the corners
+            top = np.abs(ws.psi)
+            assert np.sum(top >= top.max() * (1.0 - 1e-9)) >= 4
+        assert int((ws._reduced_lu().U.diagonal() < 0.0).sum()) == 0
+        ref = _bordered_reference(ws)
+        scale = max(np.abs(r).max() for r in ref.values())
+        for v in PARAMS:
+            assert np.abs(ws.eigenvector_derivative(v) - ref[v]).max() <= 1e-10 * scale, (p, alpha, n, v)
+        H_ref = _reference_hessian(ws, ref)
+        H = ws.hessian()
+        assert np.abs(H - H_ref).max() <= 1e-10 * np.abs(H_ref).max(), (p, alpha, n)
+
+
+def test_inconsistent_eigenvector_fails_the_residual_check(rng, meshes):
+    state = solve_quad(GENERIC, -1.0, meshes(16))
+    psi = state.psi_h + 1e-3 * rng.standard_normal(len(state.psi_h))
+    M = state.system.mass
+    state.psi_h = psi / np.sqrt(psi @ (M @ psi))
+    ws = Workspace(state)
+    with pytest.raises(EigenSolveError) as info:
+        ws.eigenvector_derivative("c")
+    diagnostics = info.value.diagnostics
+    assert "residual" in diagnostics and "residual" in str(info.value)
+    assert diagnostics["index"] == int(np.argmax(np.abs(state.psi_h)))
+    assert diagnostics["abs_psi_k"] == pytest.approx(np.abs(state.psi_h).max())
+
+
 def test_tiny_gap_raises_conditioning_error(meshes):
     state = solve_quad(GENERIC, -1.0, meshes(8))
     state.gap_estimate = 1e-12
