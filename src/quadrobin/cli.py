@@ -106,6 +106,8 @@ def _parse_grid(spec: str) -> tuple[str, np.ndarray]:
         raise ValidationError(f"grid name must be one of {_GRID_NAMES}, got {name!r}")
     if count < 1:
         raise ValidationError(f"grid count must be >= 1, got {count}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"grid bounds must be finite, got {spec!r}")
     return name, np.linspace(lo, hi, count)
 
 
@@ -430,6 +432,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValidationError(f"--mesh must be >= 2, got {cfg.mesh}")
     if cfg.trials < 1:
         raise ValidationError(f"--trials must be >= 1, got {cfg.trials}")
+    if cfg.alpha is not None and not math.isfinite(cfg.alpha):
+        raise ValidationError(f"--alpha must be finite, got {cfg.alpha}")
     if cfg.command in _NEEDS_ALPHA:
         if cfg.alpha is None or cfg.alpha == 0.0:
             raise ValidationError(f"{cfg.command} requires a nonzero --alpha")

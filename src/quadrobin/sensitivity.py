@@ -43,7 +43,7 @@ from .errors import ConditioningError, ContractError, DomainError, EigenSolveErr
 from .geometry import QuadParams
 from .mesh import Mesh, build_mesh
 from .solver import EigenState, _symmetric_lu, solve_quad
-from .square_exact import solve_square
+from .square_exact import SquareSolution, solve_square
 
 __all__ = [
     "PARAMS",
@@ -299,6 +299,13 @@ def hessian_at_square_closed_form(alpha: float, S: float, mesh: Mesh | int) -> S
     if alpha >= 0.0:
         raise DomainError(f"closed-form Hessian requires alpha < 0, got {alpha}")
     sol = solve_square(alpha, S)
+    mesh = _as_mesh(mesh, S)
+    return _square_hessian(sol, Workspace(solve_quad(QuadParams.square(S), alpha, mesh)))
+
+
+def _square_hessian(sol: SquareSolution, ws: Workspace) -> SquareHessian:
+    """The closed-form Hessian from the exact solution and the square's Workspace."""
+    alpha, S = sol.alpha, sol.S
     grad, trace = sol.grad_norm_sq, sol.boundary_norm_sq
     plain = {
         "a": grad / (2 * S) + alpha * trace / (8 * S),
@@ -308,8 +315,6 @@ def hessian_at_square_closed_form(alpha: float, S: float, mesh: Mesh | int) -> S
     pure = dict(plain)
     pure["S1"] = grad / S**2 + alpha * trace / (4 * S**2)
 
-    mesh = _as_mesh(mesh, S)
-    ws = Workspace(solve_quad(QuadParams.square(S), alpha, mesh))
     corrections = {}
     for v in PARAMS:
         psi_v = ws.eigenvector_derivative(v)
@@ -326,7 +331,7 @@ def hessian_at_square_closed_form(alpha: float, S: float, mesh: Mesh | int) -> S
     return SquareHessian(
         alpha=alpha,
         S=S,
-        mesh_level=mesh.refinement_level,
+        mesh_level=ws.mesh.refinement_level,
         matrix=H,
         pure_forms=pure,
         plain_form_pure=plain,
@@ -386,9 +391,12 @@ def verify_local_max(alpha: float, S: float, mesh: Mesh | int) -> LocalMaxVerdic
     determinant conditions, and the Cauchy-Schwarz slack of the nonnegative
     form h - lambda <.,.> on the pair (psi^{a1}, psi^{a2}).
     """
+    if alpha >= 0.0:
+        raise DomainError(f"closed-form Hessian requires alpha < 0, got {alpha}")
+    sol = solve_square(alpha, S)
     mesh = _as_mesh(mesh, S)
-    closed = hessian_at_square_closed_form(alpha, S, mesh)
     ws = Workspace(solve_quad(QuadParams.square(S), alpha, mesh))
+    closed = _square_hessian(sol, ws)
     discrete = ws.hessian()
     grad = ws.gradient()
 

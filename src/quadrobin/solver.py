@@ -6,7 +6,8 @@ taken from a coarse mesh can land above it, and a solver aimed at the
 eigenvalue nearest such a shift happily returns the second corner state.
 The strategy here is
 
-1. a dense solve for small systems (also supplying spectral-gap estimates),
+1. a dense solve when the mesh is no finer than the level-8 companion
+   (which also supplies spectral-gap estimates),
 2. otherwise a shift certified to lie below the whole spectrum: the matrix
    inertia of K - sigma M (negative-pivot count of its factorisation) is
    checked to be zero, walking the shift down from an anchor until it is.
@@ -19,7 +20,10 @@ The strategy here is
 3. Lanczos shift-invert at that certified shift, reusing the factorisation:
    with the shift below the spectrum, the dominant shift-inverted eigenvalue
    *is* the lowest one,
-4. shifted inverse iteration as a fallback if ARPACK fails.
+4. inverse iteration on the certified factor until the residual holds: it
+   refines an ARPACK pair that falls short (a nearly degenerate cluster of
+   corner states, as for the square at alpha = -40) and starts from the
+   all-ones vector if ARPACK fails.
 
 Everything is deterministic: ARPACK is started from a fixed vector.  Note
 the discrete ground state of a consistent-mass P1 pencil is positive in all
@@ -56,8 +60,7 @@ _ASSEMBLERS = {
     "plain": assemble_plain_mass,
 }
 
-_DENSE_LIMIT = 1200
-_COARSE_LEVEL = 8  # solve_quad's default coarse companion mesh
+_COARSE_LEVEL = 8  # solve_quad's coarse companion mesh
 
 
 @dataclass
@@ -70,9 +73,6 @@ class EigenPair:
     iterations: int
     method: str
     shift: float | None = None
-
-    def __iter__(self):
-        return iter((self.lambda_h, self.psi_h))
 
 
 @dataclass
@@ -169,32 +169,24 @@ def _dense_lowest(system: AssembledSystem, k: int = 2):
     return vals, vecs
 
 
-def _inverse_iteration(K, M, sigma, v0, target, max_iterations):
-    lu = spla.splu((K - sigma * M).tocsc())
-    v = v0
-    lam = None
-    for it in range(1, max_iterations + 1):
-        w = lu.solve(M @ v)
-        if not np.all(np.isfinite(w)):
-            raise EigenSolveError("inverse iteration produced non-finite values")
-        v = _normalize(w, M)
+def _checked_pair(system, tol, lam, v, iterations, method, shift=None, lu=None) -> EigenPair:
+    """The M-normalised pair, once ||(K - lam M) v|| <= tol * ||K||_inf holds.
+
+    Given ``lu``, the certified factor of K - shift M, up to 400
+    inverse-iteration steps v <- lu.solve(M v) refine the pair until it
+    holds; ``lam=None`` starts them from v alone.
+    """
+    K, M = system.stiffness_plus_boundary, system.mass
+    target = tol * float(np.abs(K).sum(axis=1).max())
+    v = _normalize(v, M)
+    res = math.inf if lam is None else float(np.linalg.norm(K @ v - lam * (M @ v)))
+    for _ in range(0 if lu is None else 400):
+        if res <= target:
+            break
+        v = _normalize(lu.solve(M @ v), M)
         lam = float(v @ (K @ v))
         res = float(np.linalg.norm(K @ v - lam * (M @ v)))
-        if res <= target:
-            return lam, v, it
-    raise EigenSolveError(
-        "inverse iteration did not converge",
-        diagnostics={"sigma": sigma, "lambda": lam, "iterations": max_iterations},
-    )
-
-
-def _checked_pair(system, tol, lam, v, iterations, method, shift=None) -> EigenPair:
-    """The M-normalised pair, once ||(K - lam M) v|| <= tol * ||K||_inf holds."""
-    K, M = system.stiffness_plus_boundary, system.mass
-    v = _normalize(v, M)
-    res = float(np.linalg.norm(K @ v - lam * (M @ v)))
-    target = tol * float(np.abs(K).sum(axis=1).max())
-    if res > target:
+    if not res <= target:  # a NaN residual fails too
         raise EigenSolveError(
             "eigensolver did not reach the requested residual",
             diagnostics={
@@ -209,25 +201,21 @@ def _checked_pair(system, tol, lam, v, iterations, method, shift=None) -> EigenP
 
 
 def solve_lowest(
-    system: AssembledSystem,
-    shift: float | None = None,
-    tol: float = 1e-10,
-    max_iterations: int = 400,
+    system: AssembledSystem, shift: float | None = None, tol: float = 1e-10
 ) -> EigenPair:
     """Smallest generalized eigenvalue and M-normalised eigenvector.
 
     The eigenvector is scaled to psi^T M psi = 1 with positive mean and
     satisfies ||(K - lambda M) psi|| <= tol * ||K||.  ``shift`` should lie
     below the lowest eigenvalue (see ``safe_shift``); if omitted, one is
-    derived from the system's own parameters.
+    derived from the system's own parameters.  Everything runs on the one
+    factorisation that certifies the shift: Lanczos shift-invert, then
+    inverse iteration until the residual holds, from the all-ones vector if
+    ARPACK fails.
     """
     K = system.stiffness_plus_boundary
     M = system.mass
     n = system.dof_count
-
-    if n <= _DENSE_LIMIT:
-        vals, vecs = _dense_lowest(system)
-        return _checked_pair(system, tol, vals[0], vecs[:, 0], 1, "dense")
 
     sigma = float(shift) if shift is not None else safe_shift(system.params, system.alpha)
     v0 = np.ones(n)
@@ -252,32 +240,13 @@ def solve_lowest(
     op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     try:
         vals, vecs = spla.eigsh(
-            K,
-            k=1,
-            M=M,
-            sigma=sigma,
-            OPinv=op_inv,
-            which="LM",
-            v0=v0,
-            maxiter=max_iterations,
+            K, k=1, M=M, sigma=sigma, OPinv=op_inv, which="LM", v0=v0, maxiter=400
         )
-        return _checked_pair(
-            system, tol, vals[0], vecs[:, 0], attempt + 1, "lanczos-shift-invert", sigma
-        )
-    except EigenSolveError:
-        raise
-    except Exception as exc:
-        try:
-            target = tol * float(np.abs(K).sum(axis=1).max())
-            lam, v, its = _inverse_iteration(
-                K, M, sigma, _normalize(v0, M), target, max_iterations
-            )
-            return _checked_pair(system, tol, lam, v, its, "inverse-iteration", sigma)
-        except EigenSolveError as exc2:
-            raise EigenSolveError(
-                "all eigensolver strategies failed",
-                diagnostics={"shift": sigma, "dof": n, "errors": f"{exc!r}; {exc2!r}"},
-            ) from exc2
+    except spla.ArpackError:
+        lam, v, method = None, v0, "inverse-iteration"
+    else:
+        lam, v, method = vals[0], vecs[:, 0], "lanczos-shift-invert"
+    return _checked_pair(system, tol, lam, v, attempt + 1, method, sigma, lu)
 
 
 def solve_quad(
@@ -285,27 +254,26 @@ def solve_quad(
     alpha: float,
     mesh: Mesh | int,
     form: str = "transformed",
-    coarse_level: int = _COARSE_LEVEL,
     tol: float = 1e-10,
 ) -> EigenState:
     """Assemble and solve the lowest eigenpair for (p, alpha) on a mesh.
 
-    ``mesh`` may be a Mesh or a refinement level.  A dense solve on a coarse
-    companion mesh refines the safe shift and provides a spectral-gap
-    estimate; on small systems the dense solve is the solve.  ``form``
-    selects the assembly route ("transformed", "direct" or "plain").
+    ``mesh`` may be a Mesh or a refinement level.  A mesh no finer than the
+    level-8 companion is solved densely; otherwise a dense solve on the
+    level-8 companion refines the safe shift for ``solve_lowest`` and
+    provides the spectral-gap estimate.  ``form`` selects the assembly route
+    ("transformed", "direct" or "plain").
     """
     if isinstance(mesh, (int, np.integer)):
         mesh = build_mesh(int(mesh), p.S)
     assemble = _ASSEMBLERS[form]
     system = assemble(p, alpha, mesh)
 
-    if system.dof_count <= _DENSE_LIMIT:
+    if mesh.refinement_level <= _COARSE_LEVEL:
         vals, vecs = _dense_lowest(system)
         pair = _checked_pair(system, tol, vals[0], vecs[:, 0], 1, "dense")
     else:
-        coarse = build_mesh(min(coarse_level, mesh.refinement_level), p.S)
-        vals, _ = _dense_lowest(assemble(p, alpha, coarse))
+        vals, _ = _dense_lowest(assemble(p, alpha, build_mesh(_COARSE_LEVEL, p.S)))
         pair = solve_lowest(system, shift=safe_shift(p, alpha, float(vals[0])), tol=tol)
     gap = float(vals[1] - vals[0]) if len(vals) > 1 else None
     return EigenState(

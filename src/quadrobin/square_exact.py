@@ -201,8 +201,10 @@ def solve_square(alpha: float, S: float = 1.0) -> SquareSolution:
     """
     alpha = float(alpha)
     S = float(S)
-    if S <= 0.0:
-        raise DomainError(f"S must be positive, got {S}")
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha}")
+    if not 0.0 < S < math.inf:
+        raise DomainError(f"S must be positive and finite, got {S}")
     if alpha == 0.0:
         raise DomainError("alpha = 0 (Neumann) is outside this solver's contract")
     L = math.sqrt(S / 2.0)

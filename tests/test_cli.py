@@ -297,3 +297,40 @@ def test_verify_theorem3_screen_keeps_the_artifact(capsys, monkeypatch, alpha):
     artifact = json.loads(out)
     assert out == json.dumps({**artifact, "result": expected}, indent=2, default=float) + "\n"
     assert len(full_searches) == artifact["result"]["outside_samples_checked"] == 30
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-square", "--alpha", "nan"],
+        ["solve-quad", "--alpha", "nan"],
+        ["solve-square", "--alpha=-inf"],
+        ["sweep", "--grid", "alpha=nan:-1:3", "--mesh", "8"],
+    ],
+)
+def test_non_finite_alpha_is_a_validation_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize(
+    "code, returncode, marker",
+    [
+        ("from quadrobin.cli import main; raise SystemExit(main(['solve-square', '--alpha', 'inf']))",
+         2, '"validation"'),
+        ("import math; from quadrobin.square_exact import solve_square; solve_square(math.inf)",
+         1, "DomainError"),
+    ],
+)
+def test_infinite_alpha_returns_instead_of_hanging(code, returncode, marker):
+    # in a child process, so a regression fails on the timeout instead of hanging
+    src = str(Path(quadrobin.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == returncode, out.stderr
+    assert marker in out.stderr

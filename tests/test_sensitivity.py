@@ -336,3 +336,55 @@ def test_sensitivity_report_methods_and_roundtrip(meshes):
         sensitivity_report(GENERIC, -1.0, mesh, method="closed_form")
     with pytest.raises(ValueError):
         sensitivity_report(GENERIC, -1.0, mesh, method="nope")
+
+
+def _two_workspace_local_max(alpha, S, mesh):
+    """verify_local_max's former route: the closed form builds its own Workspace."""
+    from quadrobin.sensitivity import _OFFBLOCK, LocalMaxVerdict
+
+    closed = hessian_at_square_closed_form(alpha, S, mesh)
+    ws = Workspace(solve_quad(QuadParams.square(S), alpha, mesh))
+    discrete = ws.hessian()
+    H = closed.matrix
+    mu34 = np.linalg.eigvalsh(H[:2, :2])
+    mu = np.array([H[2, 2], H[3, 3], mu34[0], mu34[1]])
+    f1 = ws.eigenvector_derivative("a1")
+    f2 = ws.eigenvector_derivative("a2")
+    cs = ws.gram(f1, f1) * ws.gram(f2, f2) - ws.gram(f1, f2) ** 2
+    return LocalMaxVerdict(
+        alpha=alpha,
+        S=S,
+        mesh_level=mesh.refinement_level,
+        hessian_closed=H,
+        hessian_discrete=discrete,
+        gradient=ws.gradient(),
+        mu=mu,
+        negative_definite=bool(np.all(mu < 0.0)),
+        trace_condition=bool(mu34.sum() < 0.0),
+        det_condition=bool(mu34.prod() > 0.0),
+        offblock_max=float(max(abs(discrete[i, j]) for i, j in _OFFBLOCK)),
+        gram_cauchy_schwarz=float(cs),
+    )
+
+
+def test_verify_local_max_solves_and_factorises_once(monkeypatch, meshes):
+    import quadrobin.sensitivity as sensitivity
+
+    calls = {"solve_quad": 0, "_reduced_lu": 0}
+    solve, reduced_lu = sensitivity.solve_quad, Workspace._reduced_lu
+
+    def counted_solve(*args, **kwargs):
+        calls["solve_quad"] += 1
+        return solve(*args, **kwargs)
+
+    def counted_lu(self):
+        if self._lu is None:
+            calls["_reduced_lu"] += 1
+        return reduced_lu(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(sensitivity, "solve_quad", counted_solve)
+        m.setattr(Workspace, "_reduced_lu", counted_lu)
+        verdict = verify_local_max(-1, 1, 16)
+    assert calls == {"solve_quad": 1, "_reduced_lu": 1}
+    assert verdict.to_dict() == _two_workspace_local_max(-1, 1, meshes(16)).to_dict()
