@@ -1,6 +1,6 @@
 """Robin eigenvalue machinery on a four-parameter family of quadrilaterals.
 
-Subpackages by concern:
+Modules by concern:
 
 - ``geometry``:      the parameter family, piecewise linear maps, Hausdorff
                      distance to the equal-area square

@@ -42,7 +42,7 @@ import scipy.sparse as sp
 
 from ._quadrature import gauss_legendre
 from .coefficients import boundary_weights_transformed, coefficient_values, pullback_matrices
-from .errors import ContractError
+from .errors import ContractError, DomainError
 from .geometry import QuadParams, map_forward
 from .mesh import Mesh
 
@@ -88,7 +88,9 @@ def _respects_split(mesh: Mesh) -> bool:
     return not (bad_up.any() or bad_dn.any())
 
 
-def _check_mesh(p: QuadParams, mesh: Mesh) -> None:
+def _check_mesh(p: QuadParams, alpha: float, mesh: Mesh) -> None:
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha}")
     if abs(mesh.S - p.S) > 1e-12 * max(1.0, p.S):
         raise ContractError(f"mesh built for S={mesh.S}, parameters have S={p.S}")
     if mesh.split_ok is None:  # the scan depends on the mesh alone: once per mesh
@@ -277,7 +279,7 @@ def directional_stiffness(mesh: Mesh, i: int, j: int, half: str | None = None) -
 
 
 def _assemble_pullback(p, alpha, mesh, transported: bool, kind: str) -> AssembledSystem:
-    _check_mesh(p, mesh)
+    _check_mesh(p, alpha, mesh)
     _warn_boundary_layer(p, alpha, mesh)
     v = coefficient_values(p, transported)
     K = affine_combination(mesh, (v.G_upper, v.G_lower), alpha * v.edge)
@@ -304,7 +306,7 @@ def assemble_plain_mass(p: QuadParams, alpha: float, mesh: Mesh) -> AssembledSys
 
 def assemble_direct(p: QuadParams, alpha: float, mesh: Mesh) -> AssembledSystem:
     """Standard Robin assembly on the mapped (physical) mesh."""
-    _check_mesh(p, mesh)
+    _check_mesh(p, alpha, mesh)
     _warn_boundary_layer(p, alpha, mesh)
     phys = map_forward(p).apply(mesh.nodes)
     n = mesh.dof_count

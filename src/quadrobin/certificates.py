@@ -19,12 +19,12 @@ the solver in the test suite rather than carrying a full proof.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._records import Record
 from .errors import DomainError
 from .geometry import EDGE_IDS, QuadParams, edge_length, interior_angles
 from .square_exact import solve_square
@@ -54,7 +54,7 @@ _MARGIN = 1e-12
 
 
 @dataclass
-class Certificate:
+class Certificate(Record):
     """Outcome of one closed-form comparison check."""
 
     kind: str
@@ -67,34 +67,6 @@ class Certificate:
     @property
     def certified(self) -> bool:
         return self.verdict == CERTIFIED
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params.to_dict(),
-            "alpha": self.alpha,
-            "quantities": {k: float(v) for k, v in self.quantities.items()},
-            "verdict": self.verdict,
-            "notes": self.notes,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Certificate":
-        return cls(
-            kind=data["kind"],
-            params=QuadParams.from_dict(data["params"]),
-            alpha=None if data.get("alpha") is None else float(data["alpha"]),
-            quantities=dict(data.get("quantities", {})),
-            verdict=data.get("verdict", INCONCLUSIVE),
-            notes=data.get("notes", ""),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Certificate":
-        return cls.from_dict(json.loads(text))
 
 
 def l_value(p: QuadParams) -> float:
@@ -254,7 +226,7 @@ def large_alpha_certificate(p: QuadParams) -> Certificate:
 
 
 @dataclass
-class Thresholds:
+class Thresholds(Record):
     """Concrete parameter thresholds that force the constant-trial bound.
 
     Any of: |a1| > A (I), |a2| > A (II), c > c1 (III), c < c2 (IV),
@@ -269,18 +241,6 @@ class Thresholds:
     c2: float | None
     S_tilde: float | None
     fired_checks: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "S": self.S,
-            "q": self.q,
-            "A": self.A,
-            "c1": self.c1,
-            "c2": self.c2,
-            "S_tilde": self.S_tilde,
-            "fired_checks": dict(self.fired_checks),
-        }
 
 
 def parameter_thresholds(alpha: float, S: float = 1.0, verify: bool = True) -> Thresholds:

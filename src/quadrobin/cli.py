@@ -24,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import certificates as certs
+from ._records import Record
 from .errors import EigenSolveError, QuadRobinError
 from .geometry import QuadParams, hausdorff_distance_to_square
 from .mesh import build_mesh
@@ -41,7 +42,7 @@ class ValidationError(QuadRobinError):
 
 
 @dataclass
-class RunConfig:
+class RunConfig(Record):
     """Resolved configuration of one CLI invocation (echoed into artifacts)."""
 
     command: str
@@ -63,34 +64,6 @@ class RunConfig:
         c = math.sqrt(self.S) if self.c is None else self.c
         S1 = self.S if self.S1 is None else self.S1
         return QuadParams(self.a1, self.a2, c, S1, self.S)
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "a1": self.a1,
-            "a2": self.a2,
-            "c": self.c,
-            "S1": self.S1,
-            "S": self.S,
-            "alpha": self.alpha,
-            "mesh": self.mesh,
-            "method": self.method,
-            "kind": self.kind,
-            "grids": {k: list(v) for k, v in self.grids.items()},
-            "out": self.out,
-            "format": self.format,
-            "trials": self.trials,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        cfg = cls(command=data["command"])
-        for key, value in data.items():
-            if key == "grids":
-                cfg.grids = {k: list(v) for k, v in value.items()}
-            elif hasattr(cfg, key):
-                setattr(cfg, key, value)
-        return cfg
 
 
 def _parse_grid(spec: str) -> tuple[str, np.ndarray]:
@@ -412,28 +385,22 @@ _METHOD_MAP = {
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.a1, cfg.a2, cfg.c, cfg.S1, cfg.S = args.a1, args.a2, args.c, args.S1, args.S
-    cfg.alpha = args.alpha
-    cfg.mesh = args.mesh
-    cfg.out = args.out
-    cfg.format = args.format or ("csv" if args.command == "sweep" else "json")
-    if hasattr(args, "method"):
-        cfg.method = _METHOD_MAP[args.method]
-    if hasattr(args, "kind"):
-        cfg.kind = args.kind
-    if hasattr(args, "trials"):
-        cfg.trials = args.trials
-    if getattr(args, "grid", None):
-        for spec in args.grid:
-            name, values = _parse_grid(spec)
-            cfg.grids[name] = values
+    flags = {
+        **vars(args),
+        "format": args.format or ("csv" if args.command == "sweep" else "json"),
+        "grids": dict(_parse_grid(spec) for spec in getattr(args, "grid", ())),
+    }
+    if "method" in flags:
+        flags["method"] = _METHOD_MAP[flags["method"]]
+    cfg = RunConfig.from_dict(flags)
     if cfg.mesh < 2:
         raise ValidationError(f"--mesh must be >= 2, got {cfg.mesh}")
     if cfg.trials < 1:
         raise ValidationError(f"--trials must be >= 1, got {cfg.trials}")
     if cfg.alpha is not None and not math.isfinite(cfg.alpha):
         raise ValidationError(f"--alpha must be finite, got {cfg.alpha}")
+    if not (math.isfinite(cfg.S) and cfg.S > 0.0):
+        raise ValidationError(f"--S must be finite and positive, got {cfg.S}")
     if cfg.command in _NEEDS_ALPHA:
         if cfg.alpha is None or cfg.alpha == 0.0:
             raise ValidationError(f"{cfg.command} requires a nonzero --alpha")

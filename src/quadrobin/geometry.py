@@ -14,13 +14,13 @@ an approximate Hausdorff distance to the equal-area square.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._quadrature import integrate_triangles, segment_rule
+from ._records import Record
 from .errors import ContractError, GeometryError, ParameterDomainError
 
 __all__ = [
@@ -46,7 +46,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class QuadParams:
+class QuadParams(Record):
     """Parameters (a1, a2, c, S1; S) of one quadrilateral of area 2S."""
 
     a1: float
@@ -101,26 +101,6 @@ class QuadParams:
     def reflected(self) -> "QuadParams":
         """The mirror image across the x-axis, (a2, a1, c, S2)."""
         return QuadParams(self.a2, self.a1, self.c, self.S2, self.S)
-
-    def to_dict(self) -> dict:
-        return {"a1": self.a1, "a2": self.a2, "c": self.c, "S1": self.S1, "S": self.S}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QuadParams":
-        return cls(
-            a1=float(data["a1"]),
-            a2=float(data["a2"]),
-            c=float(data["c"]),
-            S1=float(data["S1"]),
-            S=float(data.get("S", 1.0)),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "QuadParams":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

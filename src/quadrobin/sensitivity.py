@@ -31,12 +31,12 @@ independent validation oracle and for the CLI's --method fd.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from ._records import Record
 from .assembly import affine_combination
 from .coefficients import PARAMS, first_tables, second_tables
 from .errors import ConditioningError, ContractError, DomainError, EigenSolveError
@@ -287,7 +287,6 @@ class SquareHessian:
     pure_forms: dict
     plain_form_pure: dict
     corrections: dict
-    cross_a1a2: float
 
 
 def hessian_at_square_closed_form(alpha: float, S: float, mesh: Mesh | int) -> SquareHessian:
@@ -336,12 +335,11 @@ def _square_hessian(sol: SquareSolution, ws: Workspace) -> SquareHessian:
         pure_forms=pure,
         plain_form_pure=plain,
         corrections=corrections,
-        cross_a1a2=cross,
     )
 
 
 @dataclass
-class LocalMaxVerdict:
+class LocalMaxVerdict(Record):
     """Outcome of the local-maximality check at the square."""
 
     alpha: float
@@ -357,26 +355,11 @@ class LocalMaxVerdict:
     offblock_max: float
     gram_cauchy_schwarz: float
 
+    _derived = ("verdict",)
+
     @property
     def verdict(self) -> str:
         return "negative definite" if self.negative_definite else "indefinite"
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "S": self.S,
-            "mesh_level": self.mesh_level,
-            "hessian_closed": self.hessian_closed.tolist(),
-            "hessian_discrete": self.hessian_discrete.tolist(),
-            "gradient": self.gradient.tolist(),
-            "mu": self.mu.tolist(),
-            "negative_definite": self.negative_definite,
-            "trace_condition": self.trace_condition,
-            "det_condition": self.det_condition,
-            "offblock_max": self.offblock_max,
-            "gram_cauchy_schwarz": self.gram_cauchy_schwarz,
-            "verdict": self.verdict,
-        }
 
 
 _OFFBLOCK = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -424,7 +407,7 @@ def verify_local_max(alpha: float, S: float, mesh: Mesh | int) -> LocalMaxVerdic
 
 
 @dataclass
-class SensitivityReport:
+class SensitivityReport(Record):
     """Gradient and Hessian of lambda in (a1, a2, c, S1) with method tags."""
 
     params: QuadParams
@@ -434,34 +417,11 @@ class SensitivityReport:
     gradient: np.ndarray
     hessian: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "alpha": self.alpha,
-            "mesh_level": self.mesh_level,
-            "method": self.method,
-            "gradient": self.gradient.tolist(),
-            "hessian": self.hessian.tolist(),
-            "parameter_order": list(PARAMS),
-        }
+    _derived = ("parameter_order",)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SensitivityReport":
-        return cls(
-            params=QuadParams.from_dict(data["params"]),
-            alpha=float(data["alpha"]),
-            mesh_level=int(data["mesh_level"]),
-            method=str(data["method"]),
-            gradient=np.array(data["gradient"], dtype=float),
-            hessian=np.array(data["hessian"], dtype=float),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SensitivityReport":
-        return cls.from_dict(json.loads(text))
+    @property
+    def parameter_order(self) -> list[str]:
+        return list(PARAMS)
 
 
 def sensitivity_report(

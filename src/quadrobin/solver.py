@@ -48,6 +48,7 @@ from .assembly import (
     assemble_plain_mass,
     assemble_transformed,
 )
+from .certificates import asymptotic_constant
 from .errors import DomainError, EigenSolveError, GeometryError
 from .geometry import QuadParams, interior_angles, perimeter
 from .mesh import Mesh, build_mesh
@@ -105,10 +106,7 @@ def _corner_scale(p: QuadParams, alpha: float) -> float:
         angles = interior_angles(p)
     except GeometryError:
         return -4.0 * alpha * alpha
-    max_c = max(
-        1.0 if t >= math.pi else 1.0 / math.sin(0.5 * t) ** 2 for t in angles
-    )
-    return -alpha * alpha * max_c
+    return -alpha * alpha * max(asymptotic_constant(t) for t in angles)
 
 
 def safe_shift(p: QuadParams, alpha: float, coarse_lambda: float | None = None) -> float:

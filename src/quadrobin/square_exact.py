@@ -16,13 +16,13 @@ lambda1, the L2 normalisation, the boundary trace norm and the gradient norm.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._quadrature import gauss_legendre, interval_rule
+from ._records import Record
 from .errors import DomainError
 
 __all__ = [
@@ -145,7 +145,7 @@ def _one_minus_sinc(y: float) -> float:
 
 
 @dataclass(frozen=True)
-class SquareSolution:
+class SquareSolution(Record):
     """First Robin eigenpair data on the rotated square of area 2S.
 
     ``norm_const`` scales the separated product so the eigenfunction has unit
@@ -166,31 +166,6 @@ class SquareSolution:
     def k(self) -> float:
         """Coefficient in the product form: psi ~ A(k(x+y)) A(k(y-x))."""
         return self.t_star / (math.sqrt(2.0) * self.L)
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "S": self.S,
-            "L": self.L,
-            "t_star": self.t_star,
-            "lambda1": self.lambda1,
-            "norm_const": self.norm_const,
-            "boundary_norm_sq": self.boundary_norm_sq,
-            "grad_norm_sq": self.grad_norm_sq,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SquareSolution":
-        return cls(**{k: float(data[k]) for k in (
-            "alpha", "S", "L", "t_star", "lambda1", "norm_const",
-            "boundary_norm_sq", "grad_norm_sq")})
-
-    @classmethod
-    def from_json(cls, text: str) -> "SquareSolution":
-        return cls.from_dict(json.loads(text))
 
 
 def solve_square(alpha: float, S: float = 1.0) -> SquareSolution:

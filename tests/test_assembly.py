@@ -16,7 +16,7 @@ from quadrobin.assembly import (
     pullback_matrices,
 )
 from quadrobin.certificates import l_value
-from quadrobin.errors import ContractError
+from quadrobin.errors import ContractError, DomainError
 from quadrobin.geometry import QuadParams, perimeter
 from quadrobin.mesh import build_mesh
 from quadrobin.solver import rayleigh, solve_quad
@@ -194,3 +194,14 @@ def test_split_scan_runs_once_per_mesh_and_rejects_a_crossing(monkeypatch):
     assert scans == [mesh]
     with pytest.raises(ContractError):  # the S check still runs on every call
         assemble_transformed(QuadParams.square(2.0), -1.0, mesh)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_non_finite_alpha_is_a_domain_error_before_any_warning(alpha, meshes):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BoundaryLayerWarning)
+        for n in (8, 16):  # the dense level and the sparse path above it
+            with pytest.raises(DomainError, match="alpha must be finite"):
+                solve_quad(QuadParams.square(), alpha, meshes(n))
+        with pytest.raises(DomainError, match="alpha must be finite"):
+            assemble_direct(QuadParams.square(), alpha, meshes(8))

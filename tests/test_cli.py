@@ -334,3 +334,13 @@ def test_infinite_alpha_returns_instead_of_hanging(code, returncode, marker):
     )
     assert out.returncode == returncode, out.stderr
     assert marker in out.stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+def test_non_finite_or_non_positive_S_is_a_validation_error(capsys, value):
+    code, out, err = run_cli(capsys, "solve-square", "--alpha", "-1", f"--S={value}")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation"
+    assert error["message"].startswith("--S ")
