@@ -3,7 +3,13 @@
 The pullback pencil is affine in the scalar coefficients of ``coefficients``.
 ``affine_blocks`` builds its unit blocks once per mesh, on one shared CSR
 pattern cached on the mesh; every pullback matrix (both pencils, the boundary
-masses, all parameter derivatives) is a weighted sum of them.
+masses, all parameter derivatives) is a weighted sum of them.  A mesh whose
+triangles and nodes are exactly ``build_mesh``'s for its level and S gets the
+pattern and slots from (iu, iv) index arithmetic and each triangle's local
+matrices from one of four fixed cell kinds.  Every other mesh (``refine_mesh``
+output, a hand-made or an edited mesh) takes the generic builder, which sorts
+all pattern keys and computes each triangle's geometry; it is also the
+stencil's test oracle.
 
 Three assemblies of the same spectral problem are provided.
 
@@ -44,7 +50,7 @@ from ._quadrature import gauss_legendre
 from .coefficients import boundary_weights_transformed, coefficient_values, pullback_matrices
 from .errors import ContractError, DomainError
 from .geometry import QuadParams, map_forward
-from .mesh import Mesh
+from .mesh import _CELL_CORNERS, Mesh, _build_layout, _label_nodes
 
 __all__ = [
     "AssembledSystem",
@@ -81,7 +87,7 @@ class AssembledSystem:
 
 def _respects_split(mesh: Mesh) -> bool:
     """Whether every triangle lies on its labelled side of the line y = 0."""
-    y = mesh.nodes[mesh.triangles][:, :, 1]
+    y = mesh.nodes[:, 1][mesh.triangles]
     tol = 1e-12 * math.sqrt(mesh.S)
     bad_up = mesh.tri_upper & (y < -tol).any(axis=1)
     bad_dn = ~mesh.tri_upper & (y > tol).any(axis=1)
@@ -182,6 +188,9 @@ class _AffineBlocks:
     stiffness and the mass of that half.  edges[s] = (slots, B): the unit
     boundary mass of edge label s (EDGE_IDS order).  Storing each half on its
     own slots (about half the pattern) keeps the cache to ~10 MiB at mesh 128.
+    A build_mesh mesh gets them from the cell stencil (``_stencil_pattern``),
+    any other mesh from the sorted builder (``_sorted_pattern``); the two
+    agree in pattern and slots exactly and in values to roundoff.
     """
 
     indptr: np.ndarray
@@ -197,38 +206,125 @@ def _on_slots(slot: np.ndarray, nnz: int):
     return np.flatnonzero(used), (np.cumsum(used) - 1)[slot]
 
 
+def _unit_locals(nodes: np.ndarray, triangles: np.ndarray):
+    """Per-triangle 3x3 E11, E12 + E21, E22 stiffness and mass, one at a time."""
+    area, grads = _triangle_geometry(nodes, triangles)
+    gx, gy = grads[:, :, 0], grads[:, :, 1]
+    for f, g in ((gx, gx), (gx, gy), (gy, gy)):
+        local = f[:, :, None] * g[:, None, :]
+        if f is not g:  # the mixed block is E12 + E21
+            local = local + local.transpose(0, 2, 1)
+        yield area[:, None, None] * local
+    yield area[:, None, None] * _MASS_PATTERN
+
+
+def _sorted_pattern(mesh: Mesh):
+    """Any mesh: the pattern by sorting all 9 keys per triangle, geometry per triangle."""
+    n, tris = mesh.dof_count, mesh.triangles
+    keys = (np.repeat(tris, 3, axis=1) * n + np.tile(tris, (1, 3))).ravel()
+    pattern, slot = np.unique(keys, return_inverse=True)
+    del keys
+    indptr = np.searchsorted(pattern, np.arange(n + 1) * n).astype(np.int32)
+    indices = (pattern % n).astype(np.int32)
+    slot = slot.reshape(len(tris), 9)
+    return indptr, indices, slot, lambda sel: _unit_locals(mesh.nodes, tris[sel])
+
+
+def _is_built(mesh: Mesh) -> bool:
+    """Whether the mesh has build_mesh's triangles and nodes for its level and S."""
+    qu, qv, tris, _ = _build_layout(mesh.refinement_level)
+    nodes = _label_nodes(qu, qv, mesh.refinement_level, mesh.S)
+    return np.array_equal(mesh.triangles, tris) and np.array_equal(mesh.nodes, nodes)
+
+
+def _cell_slots() -> np.ndarray:
+    """Entry (a, b) of cell triangle t, as its candidate among the 45 in the
+    cell's rows (_stencil_pattern): corners 0..3 in _CELL_CORNERS order, then
+    the centre, 9 candidates each."""
+    code = [2 * du + dv for du, dv in _CELL_CORNERS]  # sw 0, se 2, ne 3, nw 1
+    k = np.empty((4, 3, 3), dtype=np.intp)
+    for t in range(4):
+        ab = np.array([code[t], code[(t + 1) % 4]])
+        k[t, :2, :2] = 2 + ab[None, :] - ab[:, None]  # grid step 2 du + dv
+        k[t, :2, 2] = 8 - ab  # the cell at (du, dv) = -corner
+        k[t, 2] = [*ab, 4]
+        k[t] += 9 * np.array([t, (t + 1) % 4, 4])[:, None]
+    return k.ravel()
+
+
+_CELL_SLOTS = _cell_slots()
+
+
+def _stencil_pattern(mesh: Mesh):
+    """A build_mesh mesh: pattern and slots by (iu, iv) arithmetic; every cell
+    is a translate of the one at the origin, so each of the 4 triangle kinds
+    has fixed local matrices."""
+    n = mesh.refinement_level
+    nc = (n + 1) ** 2
+    c = np.arange(nc, dtype=np.int32)
+    iu, iv = np.divmod(c, n + 1)
+    cell = nc + iu * n + iv
+    # a corner row's candidate columns, in column order: the grid neighbours
+    # (du, dv) = (-1, 0), (0, -1), self, (0, 1), (1, 0), then the centres of
+    # the cells at (-1, -1), (-1, 0), (0, -1), (0, 0); those in the grid are
+    # present.  A centre row holds its sw, nw, se, ne corners, then itself.
+    cand = np.stack(
+        [c - n - 1, c - 1, c, c + 1, c + n + 1, cell - n - 1, cell - n, cell - 1, cell], 1
+    )
+    lo_u, lo_v, hi_u, hi_v = iu > 0, iv > 0, iu < n, iv < n
+    in_cells = [lo_u & lo_v, lo_u & hi_v, hi_u & lo_v, hi_u & hi_v]
+    present = np.stack([lo_u, lo_v, np.ones(nc, bool), hi_v, hi_u] + in_cells, 1)
+    centre = np.arange(n * n, dtype=np.int32)
+    sw = centre // n * (n + 1) + centre % n
+    indices = np.concatenate(
+        [cand[present], np.stack([sw, sw + 1, sw + n + 1, sw + n + 2, nc + centre], 1).ravel()]
+    )
+    indptr = np.zeros(nc + n * n + 1, dtype=np.int32)
+    np.cumsum(np.concatenate([present.sum(axis=1), np.full(n * n, 5)]), out=indptr[1:])
+    # row_slot[r, k]: the slot of candidate k in row r
+    row_slot = np.zeros((len(indptr) - 1, 9), dtype=np.int32)
+    row_slot[:nc] = indptr[:nc, None] + np.cumsum(present, axis=1, dtype=np.int32) - 1
+    row_slot[nc:, :5] = indptr[nc:-1, None] + np.arange(5, dtype=np.int32)
+    tri = mesh.triangles.reshape(n * n, 12)
+    rows = row_slot[np.column_stack([tri[:, 0:12:3], tri[:, 2]])].reshape(n * n, 45)
+    slot = rows[:, _CELL_SLOTS].reshape(-1, 9)
+
+    qu, qv, tris, _ = _build_layout(1)  # the cell at the origin
+    # kinds[q, t]: block q's 3x3 local matrix on cell triangle t
+    kinds = np.stack(list(_unit_locals(_label_nodes(qu, qv, n, mesh.S), tris)))
+    kind = np.tile(np.arange(4, dtype=np.int8), n * n)
+
+    def locals_of(sel):
+        of_sel = kind[sel]
+        return (np.take(E, of_sel, axis=0) for E in kinds)
+
+    return indptr, indices, slot, locals_of
+
+
 def affine_blocks(mesh: Mesh) -> _AffineBlocks:
     """The mesh's affine blocks, built on first use and cached on the mesh."""
     if mesh.affine_blocks is not None:
         return mesh.affine_blocks
-    n, tris = mesh.dof_count, mesh.triangles
-    keys = (np.repeat(tris, 3, axis=1) * n + np.tile(tris, (1, 3))).ravel()
-    pattern, slot = np.unique(keys, return_inverse=True)
-    slot = slot.reshape(len(tris), 9)
-    del keys
+    build = _stencil_pattern if _is_built(mesh) else _sorted_pattern
+    indptr, indices, slot, locals_of = build(mesh)
+    nnz = len(indices)
     halves = []
     for sel in (mesh.tri_upper, ~mesh.tri_upper):
-        area, grads = _triangle_geometry(mesh.nodes, tris[sel])
-        gx, gy = grads[:, :, 0], grads[:, :, 1]
-        slots, where = _on_slots(slot[sel].ravel(), len(pattern))
+        slots, where = _on_slots(slot[sel].ravel(), nnz)
         E = np.empty((4, len(slots)))
-        for q, (f, g) in enumerate(((gx, gx), (gx, gy), (gy, gy))):
-            local = f[:, :, None] * g[:, None, :]
-            if f is not g:  # the mixed block is E12 + E21
-                local = local + local.transpose(0, 2, 1)
-            E[q] = np.bincount(where, (area[:, None, None] * local).ravel(), len(slots))
-        E[3] = np.bincount(where, (area[:, None, None] * _MASS_PATTERN).ravel(), len(slots))
+        for q, local in enumerate(locals_of(sel)):
+            E[q] = np.bincount(where, local.ravel(), len(slots))
         halves.append((slots, E))
+    n, ends = mesh.dof_count, mesh.bedge_nodes
+    pattern = np.repeat(np.arange(n), np.diff(indptr)) * n + indices  # sorted row * n + col
+    edge_slot = np.searchsorted(pattern, np.repeat(ends, 2, axis=1) * n + np.tile(ends, (1, 2)))
+    lengths = np.linalg.norm(mesh.nodes[ends[:, 1]] - mesh.nodes[ends[:, 0]], axis=1)
     edges = []
     for s in range(4):
-        ends = mesh.bedge_nodes[mesh.bedge_side == s]
-        lengths = np.linalg.norm(mesh.nodes[ends[:, 1]] - mesh.nodes[ends[:, 0]], axis=1)
-        keys = (np.repeat(ends, 2, axis=1) * n + np.tile(ends, (1, 2))).ravel()
-        slots, where = _on_slots(np.searchsorted(pattern, keys), len(pattern))
-        local = lengths[:, None, None] * _EDGE_PATTERN
+        on = mesh.bedge_side == s
+        slots, where = _on_slots(edge_slot[on].ravel(), nnz)
+        local = lengths[on, None, None] * _EDGE_PATTERN
         edges.append((slots, np.bincount(where, local.ravel(), len(slots))))
-    indptr = np.searchsorted(pattern, np.arange(n + 1) * n).astype(np.int32)
-    indices = (pattern % n).astype(np.int32)
     for shared in (indptr, indices):  # an in-place edit would corrupt every matrix
         shared.setflags(write=False)
     mesh.affine_blocks = _AffineBlocks(indptr, indices, halves, edges)

@@ -103,6 +103,41 @@ class Mesh:
                 fh.write(f"{i} {j} {k}\n")
 
 
+# a cell's corners sw, se, ne, nw in (iu, iv) steps from its sw corner; cell
+# triangle t of build_mesh is (corner t, corner t + 1, centre) in this order
+_CELL_CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
+
+
+def _build_layout(n: int):
+    """Integer labels, triangles and per-cell ids of build_mesh(n).
+
+    Cells run in (iu, iv) order.  Corner (iu, iv) has id iu * (n + 1) + iv; the
+    centre of cell (iu, iv) has id (n + 1)^2 + iu * n + iv.  Returns qu, qv,
+    triangles and (iu, iv, sw, se, ne, nw) per cell.
+    """
+    # integer u,v labels: corners at even multiples, cell centres at odd ones
+    corner = np.arange(-n, n + 1, 2, dtype=np.int64)
+    centre = np.arange(-n + 1, n, 2, dtype=np.int64)
+    qu = np.concatenate([np.repeat(corner, n + 1), np.repeat(centre, n)])
+    qv = np.concatenate([np.tile(corner, n + 1), np.tile(centre, n)])
+
+    iu, iv = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    ids = [(iu + du) * (n + 1) + iv + dv for du, dv in _CELL_CORNERS]
+    ctr = (n + 1) * (n + 1) + iu * n + iv
+    tris = np.stack(
+        [x for t in range(4) for x in (ids[t], ids[(t + 1) % 4], ctr)], axis=1
+    ).reshape(-1, 3)
+    return qu, qv, tris, (iu, iv, *ids)
+
+
+def _label_nodes(qu: np.ndarray, qv: np.ndarray, den: int, S: float) -> np.ndarray:
+    """x-y coordinates of the labels (u, v) = L * (qu, qv) / den, L = sqrt(S/2)."""
+    L = math.sqrt(S / 2.0)
+    u = L * qu / den
+    v = L * qv / den
+    return np.column_stack([(u - v) * _INV_SQRT2, (u + v) * _INV_SQRT2])
+
+
 def build_mesh(n: int, S: float = 1.0) -> Mesh:
     """Crisscross mesh with n cells per grid direction (h = sqrt(2S)/n)."""
     if not isinstance(n, (int, np.integer)) or n < 2:
@@ -110,34 +145,13 @@ def build_mesh(n: int, S: float = 1.0) -> Mesh:
     if S <= 0.0:
         raise ParameterDomainError(f"S must be positive, got {S}")
     n = int(n)
-    L = math.sqrt(S / 2.0)
-
-    # integer u,v labels: corners at even multiples, cell centres at odd ones
-    corner = np.arange(-n, n + 1, 2, dtype=np.int64)
-    centre = np.arange(-n + 1, n, 2, dtype=np.int64)
-    qu_c, qv_c = np.meshgrid(corner, corner, indexing="ij")
-    qu_m, qv_m = np.meshgrid(centre, centre, indexing="ij")
-    qu = np.concatenate([qu_c.ravel(), qu_m.ravel()])
-    qv = np.concatenate([qv_c.ravel(), qv_m.ravel()])
-
-    # cells in (iu, iv) order, corner ids iu * (n + 1) + iv, centre ids after
-    iu, iv = np.divmod(np.arange(n * n, dtype=np.int64), n)
-    sw = iu * (n + 1) + iv
-    se, ne, nw = sw + n + 1, sw + n + 2, sw + 1
-    ctr = (n + 1) * (n + 1) + iu * n + iv
-    tris = np.stack(
-        [sw, se, ctr, se, ne, ctr, ne, nw, ctr, nw, sw, ctr], axis=1
-    ).reshape(-1, 3)
+    qu, qv, tris, (iu, iv, sw, se, ne, nw) = _build_layout(n)
     upper = (qu[tris] + qv[tris]).sum(axis=1) > 0
     # per cell, in this order: v = +L, u = +L, u = -L, v = -L (EDGE_IDS order)
     sides = np.stack([ne, nw, se, ne, nw, sw, sw, se], axis=1).reshape(-1, 4, 2)
     on_side = np.stack([iv == n - 1, iu == n - 1, iu == 0, iv == 0], axis=1)
-
-    u = L * qu / n
-    v = L * qv / n
-    nodes = np.column_stack([(u - v) * _INV_SQRT2, (u + v) * _INV_SQRT2])
     return Mesh(
-        nodes=nodes,
+        nodes=_label_nodes(qu, qv, n, S),
         triangles=tris,
         bedge_nodes=sides[on_side],
         bedge_side=np.nonzero(on_side)[1],
@@ -160,7 +174,6 @@ def refine_mesh(mesh: Mesh) -> Mesh:
     """
     if mesh.qu is None:
         raise ContractError("mesh lacks integer labels; cannot refine")
-    L = math.sqrt(mesh.S / 2.0)
     den = 2 * mesh.q_den
     n_old = mesh.dof_count
     i, j, k = mesh.triangles.T
@@ -184,11 +197,8 @@ def refine_mesh(mesh: Mesh) -> Mesh:
     new = np.sort(first)
     qu = np.concatenate([2 * mesh.qu, mu[new]])
     qv = np.concatenate([2 * mesh.qv, mv[new]])
-    u = L * qu / den
-    v = L * qv / den
-    nodes = np.column_stack([(u - v) * _INV_SQRT2, (u + v) * _INV_SQRT2])
     return Mesh(
-        nodes=nodes,
+        nodes=_label_nodes(qu, qv, den, mesh.S),
         triangles=tris,
         bedge_nodes=np.stack([a, m, m, b], axis=1).reshape(-1, 2),
         bedge_side=np.repeat(mesh.bedge_side, 2),

@@ -20,10 +20,12 @@ The strategy here is
 3. Lanczos shift-invert at that certified shift, reusing the factorisation:
    with the shift below the spectrum, the dominant shift-inverted eigenvalue
    *is* the lowest one,
-4. inverse iteration on the certified factor until the residual holds: it
-   refines an ARPACK pair that falls short (a nearly degenerate cluster of
-   corner states, as for the square at alpha = -40) and starts from the
-   all-ones vector if ARPACK fails.
+4. 2-column subspace iteration with a Rayleigh-Ritz step on the certified
+   factor until the residual holds: it refines an ARPACK pair that falls
+   short (a nearly degenerate cluster of corner states, as for the square at
+   alpha = -40) and starts from the all-ones vector if ARPACK fails.  The
+   second column makes its rate (lambda_1 - sigma)/(lambda_3 - sigma), so
+   two equally sharp corners do not stall it.
 
 Everything is deterministic: ARPACK is started from a fixed vector.  Note
 the discrete ground state of a consistent-mass P1 pencil is positive in all
@@ -167,23 +169,38 @@ def _dense_lowest(system: AssembledSystem, k: int = 2):
     return vals, vecs
 
 
+def _m_orthonormal(W: np.ndarray, M: sp.spmatrix) -> np.ndarray:
+    """The two columns of W made M-orthonormal (Gram-Schmidt, applied twice)."""
+    a = W[:, 0] / np.sqrt(W[:, 0] @ (M @ W[:, 0]))
+    b = W[:, 1]
+    for _ in range(2):
+        b = b - (a @ (M @ b)) * a
+    return np.column_stack([a, b / np.sqrt(b @ (M @ b))])
+
+
 def _checked_pair(system, tol, lam, v, iterations, method, shift=None, lu=None) -> EigenPair:
     """The M-normalised pair, once ||(K - lam M) v|| <= tol * ||K||_inf holds.
 
-    Given ``lu``, the certified factor of K - shift M, up to 400
-    inverse-iteration steps v <- lu.solve(M v) refine the pair until it
-    holds; ``lam=None`` starts them from v alone.
+    Given ``lu``, the certified factor of K - shift M, up to 400 steps of
+    2-column subspace iteration W = lu.solve(M V), each with a Rayleigh-Ritz
+    step keeping the lowest Ritz pair, refine the pair until it holds;
+    ``lam=None`` starts them from v alone.  The second start column is a fixed
+    vector.
     """
     K, M = system.stiffness_plus_boundary, system.mass
     target = tol * float(np.abs(K).sum(axis=1).max())
     v = _normalize(v, M)
     res = math.inf if lam is None else float(np.linalg.norm(K @ v - lam * (M @ v)))
-    for _ in range(0 if lu is None else 400):
-        if res <= target:
-            break
-        v = _normalize(lu.solve(M @ v), M)
-        lam = float(v @ (K @ v))
-        res = float(np.linalg.norm(K @ v - lam * (M @ v)))
+    if lu is not None and not res <= target:
+        V = np.column_stack([v, np.cos(np.arange(len(v)))])
+        for _ in range(400):
+            W = _m_orthonormal(lu.solve(M @ V), M)
+            V = W @ np.linalg.eigh(W.T @ (K @ W))[1]
+            v = _normalize(V[:, 0], M)
+            lam = float(v @ (K @ v))
+            res = float(np.linalg.norm(K @ v - lam * (M @ v)))
+            if res <= target:
+                break
     if not res <= target:  # a NaN residual fails too
         raise EigenSolveError(
             "eigensolver did not reach the requested residual",
@@ -208,7 +225,7 @@ def solve_lowest(
     below the lowest eigenvalue (see ``safe_shift``); if omitted, one is
     derived from the system's own parameters.  Everything runs on the one
     factorisation that certifies the shift: Lanczos shift-invert, then
-    inverse iteration until the residual holds, from the all-ones vector if
+    subspace iteration until the residual holds, from the all-ones vector if
     ARPACK fails.
     """
     K = system.stiffness_plus_boundary
