@@ -17,17 +17,16 @@ The strategy here is
    ground state, so the anchor is capped by the corner asymptotic
    1.1 * (-alpha^2 max_i csc^2(theta_i/2)) - 1; the first count then
    certifies it and the solve factorises once,
-3. Lanczos shift-invert at that certified shift, reusing the factorisation:
-   with the shift below the spectrum, the dominant shift-inverted eigenvalue
-   *is* the lowest one,
-4. 2-column subspace iteration with a Rayleigh-Ritz step on the certified
-   factor until the residual holds: it refines an ARPACK pair that falls
-   short (a nearly degenerate cluster of corner states, as for the square at
-   alpha = -40) and starts from the all-ones vector if ARPACK fails.  The
-   second column makes its rate (lambda_1 - sigma)/(lambda_3 - sigma), so
-   two equally sharp corners do not stall it.
+3. shift-invert Lanczos on the factor that certified the shift: with the
+   shift below the spectrum, the dominant shift-inverted eigenvalue *is* the
+   lowest one.  It stops once the top Ritz pair is at roundoff (Lanczos
+   residual beta |s_j| <= eps theta, ARPACK's rule), which a nearly degenerate
+   corner cluster (the square at alpha = -40) also reaches and which Nelson's
+   eigenvector derivatives need (their residual check amplifies the pair's by
+   ||psi_v|| / |psi_k|), or after 400 solves.  EigenSolveError unless the
+   pair then has ||(K - lambda M) psi|| <= tol * ||K||_inf.
 
-Everything is deterministic: ARPACK is started from a fixed vector.  Note
+Everything is deterministic: Lanczos starts from the all-ones vector.  Note
 the discrete ground state of a consistent-mass P1 pencil is positive in all
 ordinary cases but may carry roundoff-scale negative wiggles next to a very
 sharp corner spike (no discrete maximum principle); positivity is therefore
@@ -36,6 +35,7 @@ not used as an acceptance criterion.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,6 +64,8 @@ _ASSEMBLERS = {
 }
 
 _COARSE_LEVEL = 8  # solve_quad's coarse companion mesh
+_BASIS = 20  # Lanczos vectors held before a restart, like ARPACK's ncv
+_MAX_SOLVES = 400  # Lanczos factor solves before its last pair is checked as it is
 
 
 @dataclass
@@ -169,38 +171,13 @@ def _dense_lowest(system: AssembledSystem, k: int = 2):
     return vals, vecs
 
 
-def _m_orthonormal(W: np.ndarray, M: sp.spmatrix) -> np.ndarray:
-    """The two columns of W made M-orthonormal (Gram-Schmidt, applied twice)."""
-    a = W[:, 0] / np.sqrt(W[:, 0] @ (M @ W[:, 0]))
-    b = W[:, 1]
-    for _ in range(2):
-        b = b - (a @ (M @ b)) * a
-    return np.column_stack([a, b / np.sqrt(b @ (M @ b))])
-
-
-def _checked_pair(system, tol, lam, v, iterations, method, shift=None, lu=None) -> EigenPair:
-    """The M-normalised pair, once ||(K - lam M) v|| <= tol * ||K||_inf holds.
-
-    Given ``lu``, the certified factor of K - shift M, up to 400 steps of
-    2-column subspace iteration W = lu.solve(M V), each with a Rayleigh-Ritz
-    step keeping the lowest Ritz pair, refine the pair until it holds;
-    ``lam=None`` starts them from v alone.  The second start column is a fixed
-    vector.
-    """
+def _checked_pair(system, tol, lam, v, iterations, method, shift=None) -> EigenPair:
+    """The M-normalised pair, if ||(K - lam M) v|| <= tol * ||K||_inf holds;
+    otherwise EigenSolveError with the residual, its target and lam."""
     K, M = system.stiffness_plus_boundary, system.mass
     target = tol * float(np.abs(K).sum(axis=1).max())
     v = _normalize(v, M)
-    res = math.inf if lam is None else float(np.linalg.norm(K @ v - lam * (M @ v)))
-    if lu is not None and not res <= target:
-        V = np.column_stack([v, np.cos(np.arange(len(v)))])
-        for _ in range(400):
-            W = _m_orthonormal(lu.solve(M @ V), M)
-            V = W @ np.linalg.eigh(W.T @ (K @ W))[1]
-            v = _normalize(V[:, 0], M)
-            lam = float(v @ (K @ v))
-            res = float(np.linalg.norm(K @ v - lam * (M @ v)))
-            if res <= target:
-                break
+    res = float(np.linalg.norm(K @ v - lam * (M @ v)))
     if not res <= target:  # a NaN residual fails too
         raise EigenSolveError(
             "eigensolver did not reach the requested residual",
@@ -215,6 +192,36 @@ def _checked_pair(system, tol, lam, v, iterations, method, shift=None, lu=None) 
     return EigenPair(float(lam), v, res, iterations, method, shift)
 
 
+def _lanczos(K, M, lu) -> np.ndarray:
+    """Top Ritz vector of (K - sigma M)^-1 M, ``lu`` factoring K - sigma M.
+
+    B holds the M-orthonormal basis as rows, H the projected operator.  A full
+    basis restarts from the top two Ritz vectors and the next Lanczos vector,
+    so a nearly degenerate corner pair cannot stall it."""
+    n, m = K.shape[0], min(_BASIS, K.shape[0])
+    B, H = np.empty((m, n)), np.zeros((m, m))
+    B[0], j = _normalize(np.ones(n), M), 0
+    Mq = M @ B[0]
+    for _ in range(_MAX_SOLVES):
+        w = lu.solve(Mq)
+        for _ in range(2):
+            h = B[: j + 1] @ (M @ w)
+            w -= h @ B[: j + 1]
+            H[: j + 1, j] += h
+        Mw = M @ w
+        beta = math.sqrt(max(w @ Mw, 0.0))
+        theta, S = np.linalg.eigh(H[: j + 1, : j + 1], UPLO="U")
+        v = S[:, -1] @ B[: j + 1]
+        if beta * abs(S[-1, -1]) <= np.finfo(float).eps * theta[-1]:
+            break
+        if j + 1 < m:
+            B[j + 1], Mq, j = w / beta, Mw / beta, j + 1
+        else:
+            B[:3], Mq = np.vstack([S[:, -2:].T @ B, w / beta]), Mw / beta
+            H[:], H[:2, :2], j = 0.0, np.diag(theta[-2:]), 2
+    return v
+
+
 def solve_lowest(
     system: AssembledSystem, shift: float | None = None, tol: float = 1e-10
 ) -> EigenPair:
@@ -223,20 +230,14 @@ def solve_lowest(
     The eigenvector is scaled to psi^T M psi = 1 with positive mean and
     satisfies ||(K - lambda M) psi|| <= tol * ||K||.  ``shift`` should lie
     below the lowest eigenvalue (see ``safe_shift``); if omitted, one is
-    derived from the system's own parameters.  Everything runs on the one
-    factorisation that certifies the shift: Lanczos shift-invert, then
-    subspace iteration until the residual holds, from the all-ones vector if
-    ARPACK fails.
+    derived from the system's own parameters.  Shift-invert Lanczos runs on
+    the factorisation that certifies the shift until its top Ritz pair is at
+    roundoff or 400 solves have passed; EigenSolveError if the residual fails.
     """
-    K = system.stiffness_plus_boundary
-    M = system.mass
-    n = system.dof_count
-
+    K, M = system.stiffness_plus_boundary, system.mass
     sigma = float(shift) if shift is not None else safe_shift(system.params, system.alpha)
-    v0 = np.ones(n)
 
     # certify the shift: walk down until no eigenvalue lies below it
-    lu = None
     for attempt in range(12):
         try:
             below, lu = _count_eigenvalues_below(K, M, sigma)
@@ -249,19 +250,18 @@ def solve_lowest(
     else:
         raise EigenSolveError(
             "could not certify a shift below the spectrum",
-            diagnostics={"shift": sigma, "dof": n},
+            diagnostics={"shift": sigma, "dof": system.dof_count},
         )
 
-    op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-    try:
-        vals, vecs = spla.eigsh(
-            K, k=1, M=M, sigma=sigma, OPinv=op_inv, which="LM", v0=v0, maxiter=400
-        )
-    except spla.ArpackError:
-        lam, v, method = None, v0, "inverse-iteration"
-    else:
-        lam, v, method = vals[0], vecs[:, 0], "lanczos-shift-invert"
-    return _checked_pair(system, tol, lam, v, attempt + 1, method, sigma, lu)
+    v = _lanczos(K, M, lu)
+    lam = rayleigh(system, v)
+    return _checked_pair(system, tol, lam, v, attempt + 1, "lanczos-shift-invert", sigma)
+
+
+@functools.lru_cache(maxsize=8)
+def _companion(S: float) -> Mesh:
+    """The level-8 companion mesh for area S, shared with its affine blocks."""
+    return build_mesh(_COARSE_LEVEL, S)
 
 
 def solve_quad(
@@ -288,7 +288,7 @@ def solve_quad(
         vals, vecs = _dense_lowest(system)
         pair = _checked_pair(system, tol, vals[0], vecs[:, 0], 1, "dense")
     else:
-        vals, _ = _dense_lowest(assemble(p, alpha, build_mesh(_COARSE_LEVEL, p.S)))
+        vals, _ = _dense_lowest(assemble(p, alpha, _companion(p.S)))
         pair = solve_lowest(system, shift=safe_shift(p, alpha, float(vals[0])), tol=tol)
     gap = float(vals[1] - vals[0]) if len(vals) > 1 else None
     return EigenState(

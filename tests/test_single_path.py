@@ -8,11 +8,13 @@ import scipy.sparse.linalg as spla
 import quadrobin.solver as solver
 from quadrobin.assembly import assemble_transformed
 from quadrobin.cli import main
+from quadrobin.errors import EigenSolveError
 from quadrobin.geometry import QuadParams
 from quadrobin.mesh import build_mesh, refine_mesh
 from quadrobin.solver import _dense_lowest, safe_shift, solve_lowest, solve_quad
 
 from conftest import random_params
+from test_shift import _SHARP_CORNERS
 
 pytestmark = pytest.mark.filterwarnings("ignore::quadrobin.assembly.BoundaryLayerWarning")
 
@@ -44,17 +46,14 @@ def test_degenerate_corner_cluster_is_refined_on_the_certified_factor(capsys):
 
 
 @pytest.mark.parametrize("alpha", [-1.0, -8.0])
-def test_arpack_failure_iterates_on_the_certified_factor(monkeypatch, meshes, alpha):
+def test_lanczos_runs_on_the_certified_factor(monkeypatch, meshes, alpha):
     # the last shape has two near-equal sharp corners: at alpha = -8 its pair
     # (-247.824, -247.245) stalls a single-vector iteration at rate 0.988
     for p in (QuadParams.square(), QuadParams(1.8, -0.4, 1.0, 1.0), QuadParams(0.3, -0.2, 1.3, 0.55)):
         system = assemble_transformed(p, alpha, meshes(32))
         shift = safe_shift(p, alpha, _companion_lambda(p, alpha))
-        reference = solve_lowest(system, shift=shift)
-        assert reference.method == "lanczos-shift-invert"
-
-        def no_convergence(*args, **kwargs):
-            raise spla.ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
+        K, M = system.stiffness_plus_boundary, system.mass
+        reference = spla.eigsh(K, k=1, M=M, sigma=shift, which="LM", return_eigenvectors=False)
 
         factorisations = []
         splu = spla.splu
@@ -64,14 +63,70 @@ def test_arpack_failure_iterates_on_the_certified_factor(monkeypatch, meshes, al
             return splu(*args, **kwargs)
 
         with monkeypatch.context() as m:
-            m.setattr(solver.spla, "eigsh", no_convergence)
             m.setattr(solver.spla, "splu", counted_splu)
             pair = solve_lowest(system, shift=shift)
-        assert pair.method == "inverse-iteration"
-        assert pair.lambda_h == pytest.approx(reference.lambda_h, rel=1e-10)
+        assert pair.method == "lanczos-shift-invert"
+        assert pair.lambda_h == pytest.approx(float(reference[0]), rel=1e-10)
         assert pair.residual <= 1e-10 * _norm_K(system)
         # one symmetric-mode factorisation per walk step, and no other
         assert factorisations == ["MMD_AT_PLUS_A"] * pair.iterations
+
+
+class _CountedFactor:
+    """A factor that records each of its solves."""
+
+    def __init__(self, lu, solves):
+        self._lu, self._solves = lu, solves
+
+    def solve(self, rhs):
+        self._solves.append(len(rhs))
+        return self._lu.solve(rhs)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+def _counted_solves(monkeypatch):
+    solves = []
+    symmetric_lu = solver._symmetric_lu
+    monkeypatch.setattr(solver, "_symmetric_lu", lambda A: _CountedFactor(symmetric_lu(A), solves))
+    return solves
+
+
+def test_lanczos_averages_at_most_one_basis_of_solves(monkeypatch, meshes):
+    # ARPACK (ncv = 20) spent at least 21 solves on each of these, 31 on two
+    mild = [QuadParams(0.4, -0.2, 1.3, 0.8), QuadParams(-0.3, 0.5, 0.9, 1.2),
+            QuadParams(0.2, 0.1, 1.1, 1.0)]
+    cases = [(p, -10.0, 32) for p in _SHARP_CORNERS] + [(p, -1.0, 64) for p in mild]
+    solves, counts = _counted_solves(monkeypatch), []
+    for p, alpha, level in cases:
+        system = assemble_transformed(p, alpha, meshes(level))
+        shift = safe_shift(p, alpha, _companion_lambda(p, alpha))
+        solves.clear()
+        pair = solve_lowest(system, shift=shift)
+        assert pair.residual <= 1e-10 * _norm_K(system)
+        counts.append(len(solves))
+    assert sum(counts) <= 20 * len(cases), counts
+
+
+def test_unreachable_tolerance_on_the_sparse_path_raises_after_bounded_solves(monkeypatch, meshes):
+    solves = _counted_solves(monkeypatch)
+    with pytest.raises(EigenSolveError) as err:
+        solve_quad(QuadParams.square(), -1.0, meshes(16), tol=1e-30)
+    assert {"residual", "target", "lambda", "iterations"} <= err.value.diagnostics.keys()
+    assert 0 < len(solves) <= 400
+
+
+def test_companion_mesh_is_built_once_per_area(monkeypatch):
+    built = []
+    build = solver.build_mesh
+    monkeypatch.setattr(solver, "build_mesh", lambda n, S: built.append((n, S)) or build(n, S))
+    p = QuadParams(0.2, -0.1, 1.1, 0.9, 1.37)
+    for alpha in (-1.0, -2.0):
+        solve_quad(p, alpha, 16)
+    # the solve mesh is built per call, the level-8 companion once with its blocks
+    assert built == [(16, 1.37), (8, 1.37), (16, 1.37)]
+    assert solver._companion(1.37).affine_blocks is not None
 
 
 _SHAPES = [(QuadParams(0.4, -0.2, 1.3, 0.8), -0.5), (QuadParams(1.8, -0.4, 1.0, 1.0), -4.0)]
