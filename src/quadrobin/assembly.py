@@ -47,7 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._quadrature import gauss_legendre
-from .coefficients import boundary_weights_transformed, coefficient_values, pullback_matrices
+from .coefficients import coefficient_values
 from .errors import ContractError, DomainError
 from .geometry import QuadParams, map_forward
 from .mesh import _CELL_CORNERS, Mesh, _build_layout, _label_nodes
@@ -58,8 +58,6 @@ __all__ = [
     "assemble_transformed",
     "assemble_direct",
     "assemble_plain_mass",
-    "pullback_matrices",
-    "boundary_weights_transformed",
     "affine_blocks",
     "affine_combination",
     "boundary_mass_matrices",
@@ -386,7 +384,7 @@ def _assemble_pullback(p, alpha, mesh, transported: bool, kind: str) -> Assemble
 def assemble_transformed(p: QuadParams, alpha: float, mesh: Mesh) -> AssembledSystem:
     """Pullback assembly on the reference square (unitary normalisation).
 
-    Interior coefficient per half from ``pullback_matrices``, boundary weight
+    Interior coefficient per half from ``coefficient_values``, boundary weight
     alpha |edge|/|ref edge| per edge label, (Sj/S)-weighted mass.  At the
     square all weights reduce to the plain Robin form on the reference
     square.  Generalized eigenvalues agree with ``assemble_direct`` to

@@ -77,8 +77,8 @@ def _parse_grid(spec: str) -> tuple[str, np.ndarray]:
         ) from exc
     if name not in _GRID_NAMES:
         raise ValidationError(f"grid name must be one of {_GRID_NAMES}, got {name!r}")
-    if count < 1:
-        raise ValidationError(f"grid count must be >= 1, got {count}")
+    if not 1 <= count <= GRID_CELL_CAP:
+        raise ValidationError(f"grid count must lie in [1, {GRID_CELL_CAP}], got {count}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError(f"grid bounds must be finite, got {spec!r}")
     return name, np.linspace(lo, hi, count)
@@ -119,7 +119,7 @@ def _sweep_cell(task):
 def _run_sweep(cfg: RunConfig) -> list[dict]:
     names = list(cfg.grids)
     axes = [cfg.grids[name] for name in names]
-    total = int(np.prod([len(a) for a in axes])) if axes else 0
+    total = math.prod(len(a) for a in axes) if axes else 0
     if total == 0:
         raise ValidationError("sweep requires at least one non-empty --grid")
     if total > GRID_CELL_CAP:
@@ -341,53 +341,60 @@ _NEEDS_ALPHA = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="quadrobin",
-        description="Robin eigenvalue tools on fixed-area quadrilaterals",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        s = sub.add_parser(name)
-        s.add_argument("--a1", type=float, default=0.0)
-        s.add_argument("--a2", type=float, default=0.0)
-        s.add_argument("--c", type=float, default=None)
-        s.add_argument("--S1", type=float, default=None)
-        s.add_argument("--S", type=float, default=1.0)
-        s.add_argument("--alpha", type=float, default=None)
-        s.add_argument("--mesh", type=int, default=64)
-        s.add_argument("--out", type=str, default=None)
-        s.add_argument("--format", choices=("json", "csv"), default=None)
-        if name in ("gradient", "hessian"):
-            s.add_argument(
-                "--method",
-                choices=("closed", "discrete", "fd"),
-                default="discrete",
-            )
-        if name == "certify":
-            s.add_argument(
-                "--kind",
-                choices=("all", "small-alpha", "trial", "asymptotic"),
-                default="all",
-            )
-        if name == "sweep":
-            s.add_argument("--grid", action="append", default=[])
-        if name == "verify-theorem3":
-            s.add_argument("--trials", type=int, default=30)
-    return parser
-
-
 _METHOD_MAP = {
     "closed": "closed_form",
     "discrete": "discrete_formula",
     "fd": "finite_difference",
 }
 
+# argparse keywords per flag; an absent flag takes RunConfig's default
+_FLAG_ARGS = {
+    "a1": {"type": float},
+    "a2": {"type": float},
+    "c": {"type": float},
+    "S1": {"type": float},
+    "S": {"type": float},
+    "alpha": {"type": float},
+    "mesh": {"type": int},
+    "method": {"choices": tuple(_METHOD_MAP)},
+    "kind": {"choices": ("all", "small-alpha", "trial", "asymptotic")},
+    "grid": {"action": "append"},
+    "format": {"choices": ("json", "csv")},
+    "trials": {"type": int},
+    "out": {"type": str},
+}
+_GEOMETRY = ("a1", "a2", "c", "S1", "S")
+_COMMAND_FLAGS = {
+    "solve-square": ("alpha", "S"),
+    "solve-quad": (*_GEOMETRY, "alpha", "mesh"),
+    "gradient": (*_GEOMETRY, "alpha", "mesh", "method"),
+    "hessian": (*_GEOMETRY, "alpha", "mesh", "method"),
+    "certify": (*_GEOMETRY, "alpha", "kind"),
+    "sweep": (*_GEOMETRY, "alpha", "mesh", "grid", "format"),
+    "verify-theorem1": ("alpha", "S", "mesh"),
+    "verify-theorem2": (*_GEOMETRY, "mesh"),
+    "verify-theorem3": ("alpha", "S", "trials"),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """One subcommand per handler, accepting only the flags that command reads."""
+    parser = argparse.ArgumentParser(
+        prog="quadrobin",
+        description="Robin eigenvalue tools on fixed-area quadrilaterals",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _HANDLERS:
+        s = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for flag in (*_COMMAND_FLAGS[name], "out"):
+            s.add_argument(f"--{flag}", **_FLAG_ARGS[flag])
+    return parser
+
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     flags = {
+        "format": "csv" if args.command == "sweep" else "json",
         **vars(args),
-        "format": args.format or ("csv" if args.command == "sweep" else "json"),
         "grids": dict(_parse_grid(spec) for spec in getattr(args, "grid", ())),
     }
     if "method" in flags:
@@ -411,7 +418,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit(cfg: RunConfig, artifact: dict) -> None:
-    if cfg.command == "sweep" and cfg.format == "csv":
+    if cfg.format == "csv":
         text = _rows_to_csv(artifact["result"]["rows"])
     else:
         text = json.dumps(artifact, indent=2, default=float)
@@ -442,14 +449,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
-    except (ValidationError, QuadRobinError, ValueError) as exc:
+    except (QuadRobinError, ValueError) as exc:
         sys.stderr.write(_error_object("validation", exc) + "\n")
         return 2
     try:
         code, result = _HANDLERS[cfg.command](cfg)
-    except (ValidationError,) as exc:
-        sys.stderr.write(_error_object("validation", exc) + "\n")
-        return 2
     except EigenSolveError as exc:
         sys.stderr.write(_error_object("numerical", exc) + "\n")
         return 3

@@ -30,8 +30,6 @@ __all__ = [
     "first_tables",
     "second_tables",
     "coefficient_values",
-    "pullback_matrices",
-    "boundary_weights_transformed",
 ]
 
 PARAMS = ("a1", "a2", "c", "S1")
@@ -146,21 +144,3 @@ def coefficient_values(p: QuadParams, transported: bool = True) -> CoefficientDe
     (u, _, _), (l, _, _) = _tables(p)
     return _pack(u, l) if transported else _pack(u / u[5], l / l[5])
 
-
-def pullback_matrices(p: QuadParams, transported: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Constant interior coefficient matrices (upper, lower) of the pullback.
-
-    With ``transported`` the (Sj/S) weight is included (Ghat_j above);
-    without it the matrices are the plain Dinv Dinv^T of the inverse map.
-    """
-    v = coefficient_values(p, transported)
-    return v.G_upper, v.G_lower
-
-
-def boundary_weights_transformed(p: QuadParams, alpha: float, transported: bool = True) -> np.ndarray:
-    """Per-edge boundary weights, in EDGE_IDS order.
-
-    Transported:  alpha * |edge| / |ref edge|;
-    plain-mass:   alpha * S * |edge| / (Sj * |ref edge|).
-    """
-    return alpha * coefficient_values(p, transported).edge

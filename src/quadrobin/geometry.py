@@ -74,14 +74,6 @@ class QuadParams(Record):
         return 2.0 * self.S - self.S1
 
     @property
-    def b1(self) -> float:
-        return self.S1 / self.c
-
-    @property
-    def b2(self) -> float:
-        return self.S2 / self.c
-
-    @property
     def c0(self) -> float:
         """c-value of the square member, sqrt(S)."""
         return math.sqrt(self.S)
@@ -238,9 +230,6 @@ class PiecewiseLinearMap:
             pts @ self.lower.T,
         )
         return out[0] if single else out
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.apply(points)
 
 
 def map_forward(p: QuadParams) -> PiecewiseLinearMap:

@@ -43,15 +43,9 @@ from .errors import ConditioningError, ContractError, DomainError, EigenSolveErr
 from .geometry import QuadParams
 from .mesh import Mesh, build_mesh
 from .solver import EigenState, _symmetric_lu, solve_quad
-from .square_exact import SquareSolution, solve_square
+from .square_exact import solve_square
 
 __all__ = [
-    "PARAMS",
-    "first_derivative",
-    "gradient",
-    "eigenvector_derivative",
-    "second_derivative",
-    "hessian",
     "fd_gradient",
     "fd_hessian",
     "SquareHessian",
@@ -189,39 +183,6 @@ class Workspace:
         return float(f @ (self.K @ g) - self.lam * (f @ (self.M @ g)))
 
 
-def _workspace(p, alpha, mesh, state: EigenState | None) -> Workspace:
-    if isinstance(state, Workspace):
-        return state
-    if state is None:
-        state = solve_quad(p, alpha, _as_mesh(mesh, p.S))
-    return Workspace(state)
-
-
-def first_derivative(p: QuadParams, alpha: float, v: str, mesh: Mesh | int, state=None) -> float:
-    """d lambda / dv at p, from the closed-form coefficient derivatives."""
-    return _workspace(p, alpha, mesh, state).first(v)
-
-
-def gradient(p: QuadParams, alpha: float, mesh: Mesh | int, state=None) -> np.ndarray:
-    """Gradient of lambda over (a1, a2, c, S1)."""
-    return _workspace(p, alpha, mesh, state).gradient()
-
-
-def eigenvector_derivative(p: QuadParams, alpha: float, v: str, mesh: Mesh | int, state=None) -> np.ndarray:
-    """Derivative of the M-normalised eigenvector, by Nelson's method."""
-    return _workspace(p, alpha, mesh, state).eigenvector_derivative(v)
-
-
-def second_derivative(p: QuadParams, alpha: float, v1: str, v2: str, mesh: Mesh | int, state=None) -> float:
-    """Mixed second derivative of lambda; symmetric in (v1, v2) to solver tolerance."""
-    return _workspace(p, alpha, mesh, state).second(v1, v2)
-
-
-def hessian(p: QuadParams, alpha: float, mesh: Mesh | int, state=None) -> np.ndarray:
-    """Full symmetric 4x4 second-derivative matrix of lambda."""
-    return _workspace(p, alpha, mesh, state).hessian()
-
-
 def _perturbed(p: QuadParams, v: str, delta: float) -> QuadParams:
     return QuadParams(**{**p.to_dict(), v: getattr(p, v) + delta})
 
@@ -295,15 +256,15 @@ def hessian_at_square_closed_form(alpha: float, S: float, mesh: Mesh | int) -> S
     The off-block entries (a_j, c), (a_j, S1), (c, S1) vanish identically and
     are set to exact zeros; the (a1, a2) entry is evaluated discretely.
     """
+    return _square_hessian(alpha, S, mesh)[0]
+
+
+def _square_hessian(alpha: float, S: float, mesh: Mesh | int) -> tuple[SquareHessian, Workspace]:
+    """The closed-form Hessian and the square's Workspace that supplied its corrections."""
     if alpha >= 0.0:
         raise DomainError(f"closed-form Hessian requires alpha < 0, got {alpha}")
     sol = solve_square(alpha, S)
-    mesh = _as_mesh(mesh, S)
-    return _square_hessian(sol, Workspace(solve_quad(QuadParams.square(S), alpha, mesh)))
-
-
-def _square_hessian(sol: SquareSolution, ws: Workspace) -> SquareHessian:
-    """The closed-form Hessian from the exact solution and the square's Workspace."""
+    ws = Workspace(solve_quad(QuadParams.square(S), alpha, _as_mesh(mesh, S)))
     alpha, S = sol.alpha, sol.S
     grad, trace = sol.grad_norm_sq, sol.boundary_norm_sq
     plain = {
@@ -335,7 +296,7 @@ def _square_hessian(sol: SquareSolution, ws: Workspace) -> SquareHessian:
         pure_forms=pure,
         plain_form_pure=plain,
         corrections=corrections,
-    )
+    ), ws
 
 
 @dataclass
@@ -374,12 +335,7 @@ def verify_local_max(alpha: float, S: float, mesh: Mesh | int) -> LocalMaxVerdic
     determinant conditions, and the Cauchy-Schwarz slack of the nonnegative
     form h - lambda <.,.> on the pair (psi^{a1}, psi^{a2}).
     """
-    if alpha >= 0.0:
-        raise DomainError(f"closed-form Hessian requires alpha < 0, got {alpha}")
-    sol = solve_square(alpha, S)
-    mesh = _as_mesh(mesh, S)
-    ws = Workspace(solve_quad(QuadParams.square(S), alpha, mesh))
-    closed = _square_hessian(sol, ws)
+    closed, ws = _square_hessian(alpha, S, mesh)
     discrete = ws.hessian()
     grad = ws.gradient()
 
@@ -393,7 +349,7 @@ def verify_local_max(alpha: float, S: float, mesh: Mesh | int) -> LocalMaxVerdic
     return LocalMaxVerdict(
         alpha=alpha,
         S=S,
-        mesh_level=mesh.refinement_level,
+        mesh_level=ws.mesh.refinement_level,
         hessian_closed=H,
         hessian_discrete=discrete,
         gradient=grad,
@@ -441,7 +397,7 @@ def sensitivity_report(
         grad = np.zeros(4)
         H = closed.matrix
     elif method == "discrete_formula":
-        ws = _workspace(p, alpha, mesh, None)
+        ws = Workspace(solve_quad(p, alpha, mesh))
         grad = ws.gradient()
         H = ws.hessian()
     elif method == "finite_difference":

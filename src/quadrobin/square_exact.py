@@ -162,11 +162,6 @@ class SquareSolution(Record):
     boundary_norm_sq: float
     grad_norm_sq: float
 
-    @property
-    def k(self) -> float:
-        """Coefficient in the product form: psi ~ A(k(x+y)) A(k(y-x))."""
-        return self.t_star / (math.sqrt(2.0) * self.L)
-
 
 def solve_square(alpha: float, S: float = 1.0) -> SquareSolution:
     """Exact first eigenpair on the rotated square of area 2S.

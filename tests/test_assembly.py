@@ -11,11 +11,10 @@ from quadrobin.assembly import (
     assemble_direct,
     assemble_plain_mass,
     assemble_transformed,
-    boundary_weights_transformed,
     export_coo,
-    pullback_matrices,
 )
 from quadrobin.certificates import l_value
+from quadrobin.coefficients import coefficient_values
 from quadrobin.errors import ContractError, DomainError
 from quadrobin.geometry import QuadParams, perimeter
 from quadrobin.mesh import build_mesh
@@ -53,24 +52,26 @@ def test_transported_matches_direct_entrywise(rng, meshes):
 def test_pullback_matrices_special_cases():
     # equal-split member with c != c0: plain matrices diag(S/c^2, c^2/S)
     p = QuadParams(0.0, 0.0, 1.7, 1.0, 1.0)
-    Gu, Gl = pullback_matrices(p, transported=False)
+    plain = coefficient_values(p, transported=False)
+    Gu, Gl = plain.G_upper, plain.G_lower
     expected = np.diag([1.0 / 1.7**2, 1.7**2])
     assert np.allclose(Gu, expected, rtol=1e-14)
     assert np.allclose(Gl, expected, rtol=1e-14)
     # transported version carries the (Sj/S) = 1 weight: identical here
-    Gu_t, _ = pullback_matrices(p, transported=True)
+    Gu_t = coefficient_values(p, transported=True).G_upper
     assert np.allclose(Gu_t, expected, rtol=1e-14)
     # at the square both reduce to the identity
-    Gu_s, Gl_s = pullback_matrices(QuadParams.square(), transported=True)
+    square = coefficient_values(QuadParams.square(), transported=True)
+    Gu_s, Gl_s = square.G_upper, square.G_lower
     assert np.allclose(Gu_s, np.eye(2), atol=1e-15)
     assert np.allclose(Gl_s, np.eye(2), atol=1e-15)
 
 
 def test_boundary_weights_scalings():
     p = QuadParams.square(1.0)
-    assert np.allclose(boundary_weights_transformed(p, -2.0), -2.0, rtol=1e-14)
+    assert np.allclose(-2.0 * coefficient_values(p).edge, -2.0, rtol=1e-14)
     p2 = QuadParams(0.5, -0.25, 1.2, 0.8)
-    w_plain = boundary_weights_transformed(p2, -1.0, transported=False)
+    w_plain = -1.0 * coefficient_values(p2, transported=False).edge
     # plain-mass weights sum against edge lengths to alpha S l(p) / |ref edge|
     total = w_plain.sum()
     expected = -1.0 * p2.S * l_value(p2) / math.sqrt(2.0 * p2.S)

@@ -344,3 +344,87 @@ def test_non_finite_or_non_positive_S_is_a_validation_error(capsys, value):
     error = json.loads(err)["error"]
     assert error["type"] == "validation"
     assert error["message"].startswith("--S ")
+
+
+# the flags each command reads; "geometry" is --a1 --a2 --c --S1 --S
+_GEOMETRY = ["a1", "a2", "c", "S1", "S"]
+_OWN_FLAGS = {
+    "solve-square": ["alpha", "S", "out"],
+    "solve-quad": [*_GEOMETRY, "alpha", "mesh", "out"],
+    "gradient": [*_GEOMETRY, "alpha", "mesh", "method", "out"],
+    "hessian": [*_GEOMETRY, "alpha", "mesh", "method", "out"],
+    "certify": [*_GEOMETRY, "alpha", "kind", "out"],
+    "sweep": [*_GEOMETRY, "alpha", "mesh", "grid", "format", "out"],
+    "verify-theorem1": ["alpha", "S", "mesh", "out"],
+    "verify-theorem2": [*_GEOMETRY, "mesh", "out"],
+    "verify-theorem3": ["alpha", "S", "trials", "out"],
+}
+_FLAG_VALUES = {
+    "a1": "0.1", "a2": "0.1", "c": "1.1", "S1": "0.9", "S": "1", "alpha": "-1", "mesh": "8",
+    "method": "fd", "kind": "trial", "grid": "a1=0:1:2", "format": "json", "trials": "3",
+    "out": "artifact.json",
+}
+
+
+@pytest.mark.parametrize("command", list(_OWN_FLAGS))
+def test_each_command_accepts_only_the_flags_it_reads(capsys, command):
+    own = _OWN_FLAGS[command]
+    args = cli._build_parser().parse_args(
+        [command, *(x for f in own for x in (f"--{f}", _FLAG_VALUES[f]))]
+    )
+    assert set(vars(args)) == {"command", *own}
+    for flag in sorted(set(_FLAG_VALUES) - set(own)):
+        with pytest.raises(SystemExit) as info:
+            main([command, f"--{flag}", _FLAG_VALUES[flag]])
+        assert info.value.code == 2, (command, flag)
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err, (command, flag)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-theorem1", "--a1", "0.5", "--c", "2", "--alpha", "-1", "--mesh", "8"],
+        ["solve-quad", "--alpha", "-1", "--mesh", "8", "--format", "csv"],
+        ["verify-theorem3", "--alpha", "-1", "--a1", "7", "--mesh", "3"],
+        ["solve-square", "--alpha", "-1", "--mesh", "2", "--c", "9"],
+    ],
+)
+def test_flags_a_command_would_ignore_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_oversize_grid_count_is_refused_before_allocation(capsys, monkeypatch):
+    counts = []
+    linspace = np.linspace
+
+    def recording_linspace(lo, hi, num=50, *args, **kwargs):
+        counts.append(num)
+        if num > cli.GRID_CELL_CAP:
+            raise AssertionError(f"linspace asked for {num} points")
+        return linspace(lo, hi, num, *args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", recording_linspace)
+    for count in (cli.GRID_CELL_CAP + 1, 10**15):
+        code, out, err = run_cli(
+            capsys, "sweep", "--grid", f"a1=0:1:{count}", "--alpha", "-1", "--mesh", "8"
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "validation" and str(cli.GRID_CELL_CAP) in error["message"]
+    assert counts == []
+    assert list(cli._parse_grid("a1=0:1:5")[1]) == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert counts == [5]
+
+
+def test_grid_cell_count_is_exact_beyond_int64(capsys):
+    # 769546 * 494770 * 8681 * 5581 = 2**64 + 4: an int64 product wraps to 4 cells
+    code, out, err = run_cli(
+        capsys, "sweep", "--grid", "a1=-1:1:769546", "--grid", "a2=-1:1:494770",
+        "--grid", "c=0.5:2:8681", "--grid", "S1=0.5:1.5:5581", "--alpha", "-1", "--mesh", "8",
+    )
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation" and f"{2**64 + 4} cells" in error["message"]

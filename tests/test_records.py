@@ -112,3 +112,22 @@ def test_run_config_key_named_like_a_method_keeps_the_method():
 def test_square_solution_from_dict_converts_numbers_to_float():
     sol = SquareSolution.from_dict({k: 1 for k in KEYS["SquareSolution"]})
     assert all(type(getattr(sol, k)) is float for k in KEYS["SquareSolution"])
+
+
+def test_every_exported_name_resolves():
+    import importlib
+    import pkgutil
+
+    import quadrobin
+
+    names = ["quadrobin"] + [
+        f"quadrobin.{info.name}" for info in pkgutil.iter_modules(quadrobin.__path__)
+        if info.name != "__main__"
+    ]
+    exported = 0
+    for name in names:
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", ()):
+            assert hasattr(module, attr), f"{name}.__all__ names missing {attr!r}"
+            exported += 1
+    assert exported > 0

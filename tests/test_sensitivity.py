@@ -3,20 +3,15 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from conftest import random_params
-from quadrobin.coefficients import PAIRS, PARAMS, first_tables, second_tables
+from quadrobin.coefficients import PAIRS, PARAMS, coefficient_values, first_tables, second_tables
 from quadrobin.errors import ConditioningError, ContractError, DomainError, EigenSolveError
 from quadrobin.geometry import QuadParams
 from quadrobin.mesh import symmetry_permutation
 from quadrobin.sensitivity import (
     SensitivityReport,
     Workspace,
-    eigenvector_derivative,
     fd_gradient,
-    first_derivative,
-    gradient,
-    hessian,
     hessian_at_square_closed_form,
-    second_derivative,
     sensitivity_report,
     verify_local_max,
 )
@@ -44,19 +39,18 @@ def test_first_tables_match_hand_derivatives_at_square():
     # the edge-ratio derivative in c vanishes at the square (S^2/c^3 = c)
     assert np.allclose(tab["c"].edge, 0.0, atol=1e-15)
 def test_tables_match_finite_differences_of_coefficients(rng):
-    from quadrobin.assembly import boundary_weights_transformed, pullback_matrices
     p = GENERIC
     h = 1e-6
     tab1 = first_tables(p)
     for k, v in enumerate(PARAMS):
         up = QuadParams(**{**p.to_dict(), v: getattr(p, v) + h})
         dn = QuadParams(**{**p.to_dict(), v: getattr(p, v) - h})
-        fd_Gu = (pullback_matrices(up)[0] - pullback_matrices(dn)[0]) / (2 * h)
-        fd_Gl = (pullback_matrices(up)[1] - pullback_matrices(dn)[1]) / (2 * h)
+        fd_Gu = (coefficient_values(up).G_upper - coefficient_values(dn).G_upper) / (2 * h)
+        fd_Gl = (coefficient_values(up).G_lower - coefficient_values(dn).G_lower) / (2 * h)
         assert np.allclose(tab1[v].G_upper, fd_Gu, atol=1e-7)
         assert np.allclose(tab1[v].G_lower, fd_Gl, atol=1e-7)
         fd_edge = (
-            boundary_weights_transformed(up, 1.0) - boundary_weights_transformed(dn, 1.0)
+            coefficient_values(up).edge - coefficient_values(dn).edge
         ) / (2 * h)
         assert np.allclose(tab1[v].edge, fd_edge, atol=1e-7)
     # one second-derivative spot check: d2/dc2 of the edge ratios
@@ -64,9 +58,9 @@ def test_tables_match_finite_differences_of_coefficients(rng):
     up = QuadParams(**{**p.to_dict(), "c": p.c + h})
     dn = QuadParams(**{**p.to_dict(), "c": p.c - h})
     fd2 = (
-        boundary_weights_transformed(up, 1.0)
-        - 2 * boundary_weights_transformed(p, 1.0)
-        + boundary_weights_transformed(dn, 1.0)
+        coefficient_values(up).edge
+        - 2 * coefficient_values(p).edge
+        + coefficient_values(dn).edge
     ) / h**2
     assert np.allclose(tab2[("c", "c")].edge, fd2, atol=1e-3)
 def test_second_tables_are_pair_symmetric():
@@ -77,21 +71,21 @@ def test_second_tables_are_pair_symmetric():
 # first derivatives
 def test_gradient_vanishes_at_the_square(meshes):
     for n in (16, 32):
-        grad = gradient(QuadParams.square(), -1.0, meshes(n))
+        grad = Workspace(solve_quad(QuadParams.square(), -1.0, meshes(n))).gradient()
         assert np.abs(grad).max() <= 1e-9
 def test_first_derivative_matches_fd(meshes):
     mesh = meshes(32)
     state = solve_quad(GENERIC, -1.0, mesh)
     fd = fd_gradient(GENERIC, -1.0, mesh)
     for k, v in enumerate(PARAMS):
-        closed = first_derivative(GENERIC, -1.0, v, mesh, state=state)
+        closed = Workspace(state).first(v)
         assert abs(closed - fd[k]) <= 1e-5 * max(1.0, abs(fd[k]))
 def test_first_derivative_reflection_antisymmetry(meshes):
     mesh = meshes(16)
     p = QuadParams(0.4, 0.2, 1.1, 1.0)
     mirrored = QuadParams(-0.4, -0.2, 1.1, 1.0)
-    d1 = first_derivative(p, -1.0, "a1", mesh)
-    d2 = first_derivative(mirrored, -1.0, "a1", mesh)
+    d1 = Workspace(solve_quad(p, -1.0, mesh)).first("a1")
+    d2 = Workspace(solve_quad(mirrored, -1.0, mesh)).first("a1")
     assert d1 == pytest.approx(-d2, rel=1e-9)
 # ---------------------------------------------------------------------------
 # eigenvector derivatives
@@ -111,7 +105,7 @@ def test_eigenvector_derivative_directional_consistency(meshes):
     mesh = meshes(16)
     state = solve_quad(GENERIC, -1.0, mesh)
     psi = state.psi_h
-    psi_c = eigenvector_derivative(GENERIC, -1.0, "c", mesh, state=state)
+    psi_c = Workspace(state).eigenvector_derivative("c")
     def perturbed_eigvec(t):
         q = QuadParams(GENERIC.a1, GENERIC.a2, GENERIC.c + t, GENERIC.S1)
         v = solve_quad(q, -1.0, mesh).psi_h
@@ -244,7 +238,7 @@ def test_second_derivative_mixed_partial_symmetry(meshes):
         assert abs(forward - backward) <= 1e-9 * max(1.0, abs(forward))
 def test_hessian_matches_fd(meshes):
     mesh = meshes(24)
-    H = hessian(GENERIC, -1.0, mesh)
+    H = Workspace(solve_quad(GENERIC, -1.0, mesh)).hessian()
     Hfd = pytest.importorskip("quadrobin.sensitivity").fd_hessian(GENERIC, -1.0, mesh)
     rel = np.abs(H - Hfd) / np.maximum(1.0, np.abs(Hfd))
     assert rel.max() <= 1e-2
@@ -301,7 +295,7 @@ def test_pure_form_signs_flip_at_large_alpha(meshes):
 def test_closed_form_hessian_close_to_discrete(meshes):
     mesh = meshes(24)
     closed = hessian_at_square_closed_form(-1.0, 1.0, mesh)
-    discrete = hessian(QuadParams.square(), -1.0, mesh)
+    discrete = Workspace(solve_quad(QuadParams.square(), -1.0, mesh)).hessian()
     assert np.allclose(closed.matrix, discrete, atol=2e-3)
     assert closed.matrix[0, 1] == pytest.approx(discrete[0, 1], abs=1e-9)
 def test_closed_form_requires_negative_alpha(meshes):
