@@ -1,7 +1,7 @@
 """P1 finite-element assembly of the Robin forms on the reference square.
 
-The pullback pencil is affine in the scalar coefficients of ``coefficients``.
-``affine_blocks`` builds its unit blocks once per mesh, on one shared CSR
+The pullback pencil is affine in the 12 coefficients of ``coefficients``.
+``affine_blocks`` builds their unit blocks once per mesh, on one shared CSR
 pattern cached on the mesh; every pullback matrix (both pencils, the boundary
 masses, all parameter derivatives) is a weighted sum of them.  A mesh whose
 triangles and nodes are exactly ``build_mesh``'s for its level and S gets the
@@ -148,7 +148,8 @@ def _stiffness_from(nodes, triangles, n, G: np.ndarray) -> sp.csr_matrix:
 
 _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
 _EDGE_PATTERN = (np.ones((2, 2)) + np.eye(2)) / 6.0
-_NO_G = (np.zeros((2, 2)), np.zeros((2, 2)))
+# the coefficient-vector index of each edge label's block (EDGE_IDS order)
+_EDGE_W = (4, 5, 10, 11)
 
 
 def _mass_from(nodes, triangles, n, weights: np.ndarray) -> sp.csr_matrix:
@@ -182,10 +183,11 @@ class _AffineBlocks:
     """Unit blocks of the pullback form on one shared CSR pattern of a mesh.
 
     halves[j] = (slots, E): the pattern slots touched by half j (upper, then
-    lower) and, on those slots, E[0..3] = the E11, E12 + E21 and E22
-    stiffness and the mass of that half.  edges[s] = (slots, B): the unit
-    boundary mass of edge label s (EDGE_IDS order).  Storing each half on its
-    own slots (about half the pattern) keeps the cache to ~10 MiB at mesh 128.
+    lower) and, on those slots, E[r] = the block of coefficient 6j + r, r < 4.
+    edges[s] = (slots, B): the block of coefficient _EDGE_W[s], the unit
+    boundary mass of edge label s (``coefficients`` gives the order).  Storing
+    each half on its own slots (about half the pattern) keeps the cache to
+    ~10 MiB at mesh 128.
     A build_mesh mesh gets them from the cell stencil (``_stencil_pattern``),
     any other mesh from the sorted builder (``_sorted_pattern``); the two
     agree in pattern and slots exactly and in values to roundoff.
@@ -329,26 +331,29 @@ def affine_blocks(mesh: Mesh) -> _AffineBlocks:
     return mesh.affine_blocks
 
 
-def affine_combination(mesh: Mesh, G=_NO_G, edge=(0.0,) * 4, mass=(0.0, 0.0)) -> sp.csr_matrix:
-    """sum_j [G_j : E_j + mass_j M_j] + sum_s edge_s B_s on the shared pattern.
-
-    G = (G_upper, G_lower) are symmetric 2x2 interior coefficients, ``edge``
-    the boundary weight per edge label and ``mass`` the mass weight per half.
-    """
+def affine_combination(mesh: Mesh, w: np.ndarray) -> sp.csr_matrix:
+    """sum_b w[b] (block b) on the shared pattern, w (12,) in ``coefficients``' order."""
     blocks = affine_blocks(mesh)
     data = np.zeros(len(blocks.indices))
-    for (slots, E), Gj, mj in zip(blocks.halves, G, mass):
-        data[slots] += E.T @ np.array([Gj[0, 0], Gj[0, 1], Gj[1, 1], mj])
-    for (slots, B), w in zip(blocks.edges, edge):
-        if w != 0.0:
-            data[slots] += w * B
+    for j, (slots, E) in enumerate(blocks.halves):
+        data[slots] += E.T @ w[6 * j : 6 * j + 4]
+    for (slots, B), wb in zip(blocks.edges, w[list(_EDGE_W)]):
+        if wb != 0.0:
+            data[slots] += wb * B
     n = mesh.dof_count
     return sp.csr_matrix((data, blocks.indices, blocks.indptr), shape=(n, n))
 
 
+def _pencil_weights(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Masks (wK, wM) that split a coefficient vector w into the stiffness
+    part w * wK (interior 1, mass 0, edges alpha) and the mass part w * wM."""
+    wK = np.tile([1.0, 1.0, 1.0, 0.0, alpha, alpha], 2)
+    return wK, np.tile([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 2)
+
+
 def boundary_mass_matrices(mesh: Mesh) -> list[sp.csr_matrix]:
     """Unit-weight boundary mass matrix for each of the four edge labels."""
-    return [affine_combination(mesh, edge=np.eye(4)[s]) for s in range(4)]
+    return [affine_combination(mesh, np.eye(12)[b]) for b in _EDGE_W]
 
 
 def directional_stiffness(mesh: Mesh, i: int, j: int, half: str | None = None) -> sp.csr_matrix:
@@ -375,9 +380,10 @@ def directional_stiffness(mesh: Mesh, i: int, j: int, half: str | None = None) -
 def _assemble_pullback(p, alpha, mesh, transported: bool, kind: str) -> AssembledSystem:
     _check_mesh(p, alpha, mesh)
     _warn_boundary_layer(p, alpha, mesh)
-    v = coefficient_values(p, transported)
-    K = affine_combination(mesh, (v.G_upper, v.G_lower), alpha * v.edge)
-    M = affine_combination(mesh, mass=v.mass)
+    w = coefficient_values(p, transported)
+    wK, wM = _pencil_weights(alpha)
+    K = affine_combination(mesh, w * wK)
+    M = affine_combination(mesh, w * wM)
     return AssembledSystem(K, M, mesh.dof_count, p, alpha, mesh, kind)
 
 

@@ -5,7 +5,8 @@ configuration echoed back) or RFC-4180-style CSV with a header row.  All
 outputs are deterministic for a fixed configuration and QUADROBIN_THREADS=1;
 sweep rows are always emitted in grid order regardless of worker completion
 order.  Validation failures exit with status 2 and a machine-readable error
-object on stderr; numerical failures exit with status 3; verification
+object on stderr; numerical failures (a solver failure, or an overflow or
+division by zero on extreme but finite inputs) exit with status 3; verification
 commands exit 0 only if every requested check passes.
 """
 
@@ -34,6 +35,7 @@ from .square_exact import solve_square
 
 SCHEMA_VERSION = 1
 GRID_CELL_CAP = 10**6
+MESH_LEVEL_CAP = 1024  # solve-quad at mesh 512 already peaks near 1.1 GB
 _GRID_NAMES = ("a1", "a2", "c", "S1", "alpha")
 
 
@@ -400,8 +402,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if "method" in flags:
         flags["method"] = _METHOD_MAP[flags["method"]]
     cfg = RunConfig.from_dict(flags)
-    if cfg.mesh < 2:
-        raise ValidationError(f"--mesh must be >= 2, got {cfg.mesh}")
+    if not 2 <= cfg.mesh <= MESH_LEVEL_CAP:
+        raise ValidationError(f"--mesh must lie in [2, {MESH_LEVEL_CAP}], got {cfg.mesh}")
     if cfg.trials < 1:
         raise ValidationError(f"--trials must be >= 1, got {cfg.trials}")
     if cfg.alpha is not None and not math.isfinite(cfg.alpha):
@@ -438,10 +440,9 @@ def _error_object(kind: str, exc: Exception) -> str:
     }
     if isinstance(exc, EigenSolveError) and exc.diagnostics:
         payload["error"]["diagnostics"] = {
-            k: (float(v) if isinstance(v, (int, float, np.floating)) else str(v))
-            for k, v in exc.diagnostics.items()
+            k: v.item() if isinstance(v, np.generic) else v for k, v in exc.diagnostics.items()
         }
-    return json.dumps(payload)
+    return json.dumps(payload, default=str)
 
 
 def main(argv=None) -> int:
@@ -454,7 +455,7 @@ def main(argv=None) -> int:
         return 2
     try:
         code, result = _HANDLERS[cfg.command](cfg)
-    except EigenSolveError as exc:
+    except (EigenSolveError, ArithmeticError) as exc:
         sys.stderr.write(_error_object("numerical", exc) + "\n")
         return 3
     except QuadRobinError as exc:

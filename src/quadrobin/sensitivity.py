@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._records import Record
-from .assembly import affine_combination
+from .assembly import _pencil_weights, affine_combination
 from .coefficients import PARAMS, first_tables, second_tables
 from .errors import ConditioningError, ContractError, DomainError, EigenSolveError
 from .geometry import QuadParams
@@ -85,6 +85,7 @@ class Workspace:
             )
         self._d1 = first_tables(self.p)
         self._d2 = second_tables(self.p)
+        self._wK, self._wM = _pencil_weights(self.alpha)
         self._K_v: dict[str, sp.csr_matrix] = {}
         self._M_v: dict[str, sp.csr_matrix | None] = {}
         self._psi_v: dict[str, np.ndarray] = {}
@@ -94,19 +95,19 @@ class Workspace:
     # -- derivative systems: weighted sums of the mesh's affine blocks ---------
     def stiffness_derivative(self, v: str) -> sp.csr_matrix:
         if v not in self._K_v:
-            d = self._d1[v]
-            self._K_v[v] = affine_combination(self.mesh, (d.G_upper, d.G_lower), self.alpha * d.edge)
+            d = self._d1[:, PARAMS.index(v)]
+            self._K_v[v] = affine_combination(self.mesh, d * self._wK)
         return self._K_v[v]
 
     def mass_derivative(self, v: str) -> sp.csr_matrix | None:
         if v not in self._M_v:
-            dm = self._d1[v].mass
-            self._M_v[v] = None if np.all(dm == 0.0) else affine_combination(self.mesh, mass=dm)
+            dm = self._d1[:, PARAMS.index(v)] * self._wM
+            self._M_v[v] = None if np.all(dm == 0.0) else affine_combination(self.mesh, dm)
         return self._M_v[v]
 
     def stiffness_second_derivative(self, v1: str, v2: str) -> sp.csr_matrix:
-        d = self._d2[(v1, v2)]
-        return affine_combination(self.mesh, (d.G_upper, d.G_lower), self.alpha * d.edge)
+        d = self._d2[:, PARAMS.index(v1), PARAMS.index(v2)]
+        return affine_combination(self.mesh, d * self._wK)
 
     def _effective(self, v: str, vec: np.ndarray) -> np.ndarray:
         """(K^v - lambda M^v) vec."""

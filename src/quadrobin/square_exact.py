@@ -178,29 +178,28 @@ def solve_square(alpha: float, S: float = 1.0) -> SquareSolution:
     if alpha == 0.0:
         raise DomainError("alpha = 0 (Neumann) is outside this solver's contract")
     L = math.sqrt(S / 2.0)
-    if alpha < 0.0:
-        t = g_inverse(-alpha * L)
-        lam = -2.0 * (t / L) ** 2
-        # m = int A^2 over one direction, dint = int A'^2, A = cosh(t s / L)
-        m = L * (2.0 + _sinhc_minus_one(2.0 * t))
-        dint = (t * t / L) * _sinhc_minus_one(2.0 * t)
-        trace = math.cosh(t) ** 2
-    else:
-        t = f_inverse(alpha * L)
-        lam = 2.0 * (t / L) ** 2
-        m = L * (2.0 - _one_minus_sinc(2.0 * t))
-        dint = (t * t / L) * _one_minus_sinc(2.0 * t)
-        trace = math.cos(t) ** 2
-    return SquareSolution(
-        alpha=alpha,
-        S=S,
-        L=L,
-        t_star=t,
-        lambda1=lam,
-        norm_const=1.0 / m,
-        boundary_norm_sq=4.0 * trace / m,
-        grad_norm_sq=2.0 * dint / m,
-    )
+    # cosh(t)^2 and sinh(2t) overflow once alpha sqrt(S) falls below about -500
+    try:
+        with np.errstate(over="raise"):
+            if alpha < 0.0:
+                t = g_inverse(-alpha * L)
+                lam = -2.0 * (t / L) ** 2
+                # m = int A^2 over one direction, dint = int A'^2, A = cosh(t s / L)
+                m = L * (2.0 + _sinhc_minus_one(2.0 * t))
+                dint = (t * t / L) * _sinhc_minus_one(2.0 * t)
+                trace = math.cosh(t) ** 2
+            else:
+                t = f_inverse(alpha * L)
+                lam = 2.0 * (t / L) ** 2
+                m = L * (2.0 - _one_minus_sinc(2.0 * t))
+                dint = (t * t / L) * _one_minus_sinc(2.0 * t)
+                trace = math.cos(t) ** 2
+            fields = (t, lam, 1.0 / m, 4.0 * trace / m, 2.0 * dint / m)
+    except ArithmeticError:
+        fields = (math.inf,)
+    if not all(map(math.isfinite, fields)):
+        raise DomainError(f"closed forms are not finite at alpha = {alpha}, S = {S}")
+    return SquareSolution(alpha, S, L, *fields)
 
 
 def _axis_factor(sol: SquareSolution, s):

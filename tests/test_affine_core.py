@@ -1,11 +1,18 @@
 """The affine block core: derivative matrices and the shared CSR pattern."""
 
 import numpy as np
+import pytest
 
-from quadrobin.assembly import affine_blocks, assemble_transformed
+from quadrobin import assembly
+from quadrobin.assembly import (
+    affine_blocks,
+    affine_combination,
+    assemble_transformed,
+    directional_stiffness,
+)
 from quadrobin.coefficients import PARAMS
 from quadrobin.geometry import QuadParams
-from quadrobin.mesh import build_mesh
+from quadrobin.mesh import build_mesh, refine_mesh
 from quadrobin.sensitivity import Workspace
 from quadrobin.solver import solve_quad
 
@@ -60,3 +67,24 @@ def test_derivative_matrices_match_central_differences():
     again = assemble_transformed(QuadParams(-0.4, 0.5, 0.9, 1.2), -0.5, mesh)
     assert affine_blocks(mesh) is blocks
     assert np.shares_memory(again.stiffness_plus_boundary.indices, blocks.indices)
+
+
+@pytest.mark.parametrize("mesh", [build_mesh(6, 0.37), refine_mesh(build_mesh(4))])
+def test_each_coefficient_weights_its_own_block(mesh):
+    """Coefficient 6j + r of the vector selects the block that ``coefficients``
+    documents, checked against forms assembled without the affine blocks."""
+    n, nodes = mesh.dof_count, mesh.nodes
+    for j, half in enumerate(("upper", "lower")):
+        tris = mesh.triangles[mesh.tri_upper if j == 0 else ~mesh.tri_upper]
+        reference = [
+            directional_stiffness(mesh, 1, 1, half),
+            2 * directional_stiffness(mesh, 1, 2, half),
+            directional_stiffness(mesh, 2, 2, half),
+            assembly._mass_from(nodes, tris, n, np.ones(len(tris))),
+        ]
+        for s in (2 * j, 2 * j + 1):  # the legs' edge labels, EDGE_IDS order
+            ends = mesh.bedge_nodes[mesh.bedge_side == s]
+            reference.append(assembly._boundary_from(nodes, ends, n, np.ones(len(ends))))
+        for r, expected in enumerate(reference):
+            got = affine_combination(mesh, np.eye(12)[6 * j + r])
+            _assert_close(got, expected.toarray(), 1e-13)

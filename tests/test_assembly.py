@@ -53,25 +53,27 @@ def test_pullback_matrices_special_cases():
     # equal-split member with c != c0: plain matrices diag(S/c^2, c^2/S)
     p = QuadParams(0.0, 0.0, 1.7, 1.0, 1.0)
     plain = coefficient_values(p, transported=False)
-    Gu, Gl = plain.G_upper, plain.G_lower
-    expected = np.diag([1.0 / 1.7**2, 1.7**2])
+    # (G11, G12, G22) of the upper half at indices 0-2, of the lower at 6-8
+    Gu, Gl = plain[[0, 1, 2]], plain[[6, 7, 8]]
+    expected = [1.0 / 1.7**2, 0.0, 1.7**2]
     assert np.allclose(Gu, expected, rtol=1e-14)
     assert np.allclose(Gl, expected, rtol=1e-14)
     # transported version carries the (Sj/S) = 1 weight: identical here
-    Gu_t = coefficient_values(p, transported=True).G_upper
+    Gu_t = coefficient_values(p, transported=True)[[0, 1, 2]]
     assert np.allclose(Gu_t, expected, rtol=1e-14)
     # at the square both reduce to the identity
     square = coefficient_values(QuadParams.square(), transported=True)
-    Gu_s, Gl_s = square.G_upper, square.G_lower
-    assert np.allclose(Gu_s, np.eye(2), atol=1e-15)
-    assert np.allclose(Gl_s, np.eye(2), atol=1e-15)
+    Gu_s, Gl_s = square[[0, 1, 2]], square[[6, 7, 8]]
+    assert np.allclose(Gu_s, [1.0, 0.0, 1.0], atol=1e-15)
+    assert np.allclose(Gl_s, [1.0, 0.0, 1.0], atol=1e-15)
 
 
 def test_boundary_weights_scalings():
     p = QuadParams.square(1.0)
-    assert np.allclose(-2.0 * coefficient_values(p).edge, -2.0, rtol=1e-14)
+    edge = [4, 5, 10, 11]  # the edge ratios' indices in the coefficient vector
+    assert np.allclose(-2.0 * coefficient_values(p)[edge], -2.0, rtol=1e-14)
     p2 = QuadParams(0.5, -0.25, 1.2, 0.8)
-    w_plain = -1.0 * coefficient_values(p2, transported=False).edge
+    w_plain = -1.0 * coefficient_values(p2, transported=False)[edge]
     # plain-mass weights sum against edge lengths to alpha S l(p) / |ref edge|
     total = w_plain.sum()
     expected = -1.0 * p2.S * l_value(p2) / math.sqrt(2.0 * p2.S)

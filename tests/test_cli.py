@@ -15,6 +15,7 @@ import quadrobin
 import quadrobin.cli as cli
 from quadrobin import certificates as certs
 from quadrobin.cli import RunConfig, main
+from quadrobin.errors import EigenSolveError
 from quadrobin.geometry import QuadParams, hausdorff_distance_to_square
 from quadrobin.square_exact import solve_square
 
@@ -428,3 +429,57 @@ def test_grid_cell_count_is_exact_beyond_int64(capsys):
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "validation" and f"{2**64 + 4} cells" in error["message"]
+
+
+def test_oversize_mesh_is_refused_before_any_mesh_is_built(capsys, monkeypatch):
+    levels = []
+
+    def recording_build_mesh(n, S=1.0):
+        levels.append(n)
+        raise AssertionError(f"build_mesh asked for level {n}")
+
+    for module in ("quadrobin.cli", "quadrobin.sensitivity"):
+        monkeypatch.setattr(f"{module}.build_mesh", recording_build_mesh)
+    for command in ("solve-quad", "gradient", "hessian", "verify-theorem1"):
+        for level in (cli.MESH_LEVEL_CAP + 1, 100000):
+            code, out, err = run_cli(capsys, command, "--alpha", "-1", "--mesh", str(level))
+            assert code == 2 and out == ""
+            error = json.loads(err)["error"]
+            assert error["type"] == "validation" and str(cli.MESH_LEVEL_CAP) in error["message"]
+    for argv in (
+        ["sweep", "--grid", "a1=0:1:2", "--alpha", "-1"],
+        ["verify-theorem2", "--a1", "0.5", "--c", "1", "--S1", "1"],
+    ):
+        code, out, _ = run_cli(capsys, *argv, "--mesh", str(cli.MESH_LEVEL_CAP + 1))
+        assert code == 2 and out == ""
+    assert levels == []
+    args = cli._build_parser().parse_args(
+        ["solve-quad", "--alpha", "-1", "--mesh", str(cli.MESH_LEVEL_CAP)]
+    )
+    assert cli._config_from_args(args).mesh == cli.MESH_LEVEL_CAP
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["solve-quad", "--c", "1e-200", "--alpha", "-1", "--mesh", "16"], 3),
+        (["solve-quad", "--a1", "1e200", "--alpha", "-1", "--mesh", "16"], 3),
+        (["verify-theorem2", "--a1", "1e200", "--mesh", "8"], 3),
+        (["certify", "--c", "1e-200", "--alpha", "-1"], 3),
+        (["solve-square", "--alpha=-600"], 2),
+        (["solve-square", "--alpha=-501"], 2),
+    ],
+)
+def test_extreme_finite_inputs_fail_typed(capsys, argv, code):
+    returned, out, err = run_cli(capsys, *argv)
+    assert returned == code and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == ("numerical" if code == 3 else "validation")
+    assert error["message"]
+
+
+def test_integer_diagnostics_stay_integers():
+    exc = EigenSolveError("x", {"index": 7, "dof": np.int64(25), "residual": np.float64(0.5)})
+    diagnostics = json.loads(cli._error_object("numerical", exc))["error"]["diagnostics"]
+    assert diagnostics == {"index": 7, "dof": 25, "residual": 0.5}
+    assert isinstance(diagnostics["index"], int) and isinstance(diagnostics["dof"], int)

@@ -1,5 +1,6 @@
 """Hand-written coefficient tables against a symbolic oracle, and no sympy at runtime."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 
 import quadrobin
-from quadrobin.coefficients import PAIRS, PARAMS, first_tables, second_tables
+from quadrobin.coefficients import PARAMS, first_tables, second_tables
 from quadrobin.geometry import QuadParams
 
-FIELDS = ("G_upper", "G_lower", "edge", "mass")
+# each field's indices in the coefficient vector, compared on its own scale
+FIELDS = {"G_upper": [0, 1, 2], "G_lower": [6, 7, 8], "edge": [4, 5, 10, 11], "mass": [3, 9]}
+PAIRS = tuple(itertools.combinations_with_replacement(range(4), 2))
 
 
 def _symbolic_tables():
@@ -42,16 +45,18 @@ def _symbolic_tables():
     mass_w = [S1 / S, S2 / S]
     names = dict(zip(PARAMS, (a1, a2, c, S1)))
 
+    # the 12 coefficients in block order: per half G11, G12, G22, Sj/S, edges
+    blocks = [
+        e
+        for j in (0, 1)
+        for e in (G[j][0, 0], G[j][0, 1], G[j][1, 1], mass_w[j], *edge_ratio[2 * j : 2 * j + 2])
+    ]
+
     def bundle(*vs):
-        return [
-            sym.diff(G[0], *vs).tolist(),
-            sym.diff(G[1], *vs).tolist(),
-            [sym.diff(r, *vs) for r in edge_ratio],
-            [sym.diff(w, *vs) for w in mass_w],
-        ]
+        return [sym.diff(e, *vs) for e in blocks]
 
     first = [bundle(names[v]) for v in PARAMS]
-    second = [bundle(names[v1], names[v2]) for v1, v2 in PAIRS]
+    second = [bundle(names[PARAMS[i]], names[PARAMS[j]]) for i, j in PAIRS]
     args = (a1, a2, c, S1, S)
     return (
         sym.lambdify(args, first, modules="mpmath"),
@@ -64,7 +69,7 @@ def _evaluate(f, p: QuadParams):
 
     with mpmath.workdps(40):
         raw = f(*(mpmath.mpf(x) for x in (p.a1, p.a2, p.c, p.S1, p.S)))
-        return [[np.array(field, dtype=float) for field in entry] for entry in raw]
+        return [np.array(entry, dtype=float) for entry in raw]
 
 
 def _random_points(count):
@@ -89,11 +94,11 @@ def test_tables_match_symbolic_oracle():
     worst = 0.0
     for p in _random_points(60):
         tab1, tab2 = first_tables(p), second_tables(p)
-        pairs = [(tab1[v], entry) for v, entry in zip(PARAMS, _evaluate(f1, p))]
-        pairs += [(tab2[pair], entry) for pair, entry in zip(PAIRS, _evaluate(f2, p))]
+        pairs = [(tab1[:, i], entry) for i, entry in enumerate(_evaluate(f1, p))]
+        pairs += [(tab2[:, i, j], entry) for (i, j), entry in zip(PAIRS, _evaluate(f2, p))]
         for table, oracle in pairs:
-            for name, expected in zip(FIELDS, oracle):
-                got = getattr(table, name)
+            for name, field in FIELDS.items():
+                got, expected = table[field], oracle[field]
                 assert got.shape == expected.shape
                 err = np.abs(got - expected).max()
                 scale = np.abs(expected).max()

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from conftest import random_params
-from quadrobin.coefficients import PAIRS, PARAMS, coefficient_values, first_tables, second_tables
+from quadrobin.coefficients import PARAMS, coefficient_values, first_tables, second_tables
 from quadrobin.errors import ConditioningError, ContractError, DomainError, EigenSolveError
 from quadrobin.geometry import QuadParams
 from quadrobin.mesh import symmetry_permutation
@@ -23,50 +25,51 @@ GENERIC = QuadParams(0.3, -0.1, 1.2, 0.9)
 def test_first_tables_match_hand_derivatives_at_square():
     p = QuadParams.square(1.0)
     tab = first_tables(p)
+    # coefficient indices: G (G11, G12, G22) upper 0-2, lower 6-8; mass 3, 9; edges 4, 5, 10, 11
     # d/da1 of the upper matrix [[S1/c^2 + a1^2/S1, -a1 c/S1], [., c^2/S1]]
-    assert np.allclose(tab["a1"].G_upper, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-15)
-    assert np.allclose(tab["a1"].G_lower, 0.0, atol=1e-15)
+    assert np.allclose(tab[[0, 1, 2], 0], [0.0, -1.0, 0.0], atol=1e-15)
+    assert np.allclose(tab[[6, 7, 8], 0], 0.0, atol=1e-15)
     # d/dc: upper = lower = diag(-2S/c^3 ..., 2c/Sj) = diag(-2, 2) at the square
-    assert np.allclose(tab["c"].G_upper, np.diag([-2.0, 2.0]), atol=1e-15)
-    assert np.allclose(tab["c"].G_lower, np.diag([-2.0, 2.0]), atol=1e-15)
+    assert np.allclose(tab[[0, 1, 2], 2], [-2.0, 0.0, 2.0], atol=1e-15)
+    assert np.allclose(tab[[6, 7, 8], 2], [-2.0, 0.0, 2.0], atol=1e-15)
     # d/dS1: upper diag(1/c^2 - a^2/S1^2, -c^2/S1^2) = diag(1, -1); lower flips
-    assert np.allclose(tab["S1"].G_upper, np.diag([1.0, -1.0]), atol=1e-15)
-    assert np.allclose(tab["S1"].G_lower, np.diag([-1.0, 1.0]), atol=1e-15)
+    assert np.allclose(tab[[0, 1, 2], 3], [1.0, 0.0, -1.0], atol=1e-15)
+    assert np.allclose(tab[[6, 7, 8], 3], [-1.0, 0.0, 1.0], atol=1e-15)
     # mass weights move only along S1
-    assert np.allclose(tab["S1"].mass, [1.0, -1.0], atol=1e-15)
-    for v in ("a1", "a2", "c"):
-        assert np.allclose(tab[v].mass, 0.0, atol=1e-15)
+    assert np.allclose(tab[[3, 9], 3], [1.0, -1.0], atol=1e-15)
+    for i in (0, 1, 2):
+        assert np.allclose(tab[[3, 9], i], 0.0, atol=1e-15)
     # the edge-ratio derivative in c vanishes at the square (S^2/c^3 = c)
-    assert np.allclose(tab["c"].edge, 0.0, atol=1e-15)
+    assert np.allclose(tab[[4, 5, 10, 11], 2], 0.0, atol=1e-15)
 def test_tables_match_finite_differences_of_coefficients(rng):
     p = GENERIC
     h = 1e-6
+    G_upper, G_lower, edge = [0, 1, 2], [6, 7, 8], [4, 5, 10, 11]
     tab1 = first_tables(p)
     for k, v in enumerate(PARAMS):
         up = QuadParams(**{**p.to_dict(), v: getattr(p, v) + h})
         dn = QuadParams(**{**p.to_dict(), v: getattr(p, v) - h})
-        fd_Gu = (coefficient_values(up).G_upper - coefficient_values(dn).G_upper) / (2 * h)
-        fd_Gl = (coefficient_values(up).G_lower - coefficient_values(dn).G_lower) / (2 * h)
-        assert np.allclose(tab1[v].G_upper, fd_Gu, atol=1e-7)
-        assert np.allclose(tab1[v].G_lower, fd_Gl, atol=1e-7)
+        fd_Gu = (coefficient_values(up)[G_upper] - coefficient_values(dn)[G_upper]) / (2 * h)
+        fd_Gl = (coefficient_values(up)[G_lower] - coefficient_values(dn)[G_lower]) / (2 * h)
+        assert np.allclose(tab1[G_upper, k], fd_Gu, atol=1e-7)
+        assert np.allclose(tab1[G_lower, k], fd_Gl, atol=1e-7)
         fd_edge = (
-            coefficient_values(up).edge - coefficient_values(dn).edge
+            coefficient_values(up)[edge] - coefficient_values(dn)[edge]
         ) / (2 * h)
-        assert np.allclose(tab1[v].edge, fd_edge, atol=1e-7)
+        assert np.allclose(tab1[edge, k], fd_edge, atol=1e-7)
     # one second-derivative spot check: d2/dc2 of the edge ratios
     tab2 = second_tables(p)
     up = QuadParams(**{**p.to_dict(), "c": p.c + h})
     dn = QuadParams(**{**p.to_dict(), "c": p.c - h})
     fd2 = (
-        coefficient_values(up).edge
-        - 2 * coefficient_values(p).edge
-        + coefficient_values(dn).edge
+        coefficient_values(up)[edge]
+        - 2 * coefficient_values(p)[edge]
+        + coefficient_values(dn)[edge]
     ) / h**2
-    assert np.allclose(tab2[("c", "c")].edge, fd2, atol=1e-3)
+    assert np.allclose(tab2[edge, 2, 2], fd2, atol=1e-3)
 def test_second_tables_are_pair_symmetric():
     tab = second_tables(GENERIC)
-    for v1, v2 in PAIRS:
-        assert tab[(v1, v2)] is tab[(v2, v1)]
+    assert np.array_equal(tab, tab.transpose(0, 2, 1))
 # ---------------------------------------------------------------------------
 # first derivatives
 def test_gradient_vanishes_at_the_square(meshes):
@@ -232,7 +235,7 @@ def test_second_derivative_mixed_partial_symmetry(meshes):
     mesh = meshes(16)
     state = solve_quad(GENERIC, -1.0, mesh)
     ws = Workspace(state)
-    for v1, v2 in PAIRS:
+    for v1, v2 in itertools.combinations_with_replacement(PARAMS, 2):
         forward = ws.second(v1, v2)
         backward = ws.second(v2, v1)
         assert abs(forward - backward) <= 1e-9 * max(1.0, abs(forward))

@@ -128,6 +128,15 @@ def test_invalid_arguments():
         solve_square(-1.0, -2.0)
 
 
+def test_overflowing_closed_forms_raise_domain_error():
+    # alpha sqrt(S) near -500: sinh(2t) and cosh(t)^2 leave the double range
+    sol = solve_square(-400.0, 1.0)
+    assert all(math.isfinite(x) for x in (sol.lambda1, sol.grad_norm_sq, sol.boundary_norm_sq))
+    for alpha in (-501.0, -600.0):
+        with pytest.raises(DomainError):
+            solve_square(alpha, 1.0)
+
+
 def test_energy_identity_sweep():
     for alpha in np.concatenate([-np.logspace(-2, 1, 13)]):
         for S in (0.5, 1.0, 2.0):
