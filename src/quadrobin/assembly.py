@@ -60,6 +60,7 @@ __all__ = [
     "assemble_plain_mass",
     "affine_blocks",
     "affine_combination",
+    "affine_images",
     "boundary_mass_matrices",
     "directional_stiffness",
     "export_coo",
@@ -342,6 +343,22 @@ def affine_combination(mesh: Mesh, w: np.ndarray) -> sp.csr_matrix:
             data[slots] += wb * B
     n = mesh.dof_count
     return sp.csr_matrix((data, blocks.indices, blocks.indptr), shape=(n, n))
+
+
+def affine_images(mesh: Mesh, x: np.ndarray) -> np.ndarray:
+    """Y[b] = (block b) @ x for all 12 blocks, (12, n), in ``affine_combination``'s
+    order: any combination's product is then w @ Y, with no matrix built."""
+    blocks = affine_blocks(mesh)
+    n = mesh.dof_count
+    rows = np.repeat(np.arange(n), np.diff(blocks.indptr))
+    Y = np.empty((12, n))
+    for j, (slots, E) in enumerate(blocks.halves):
+        r, xc = rows[slots], x[blocks.indices[slots]]
+        for q in range(4):
+            Y[6 * j + q] = np.bincount(r, E[q] * xc, n)
+    for (slots, B), b in zip(blocks.edges, _EDGE_W):
+        Y[b] = np.bincount(rows[slots], B * x[blocks.indices[slots]], n)
+    return Y
 
 
 def _pencil_weights(alpha: float) -> tuple[np.ndarray, np.ndarray]:

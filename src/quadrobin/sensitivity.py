@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._records import Record
-from .assembly import _pencil_weights, affine_combination
+from .assembly import _pencil_weights, affine_combination, affine_images
 from .coefficients import PARAMS, first_tables, second_tables
 from .errors import ConditioningError, ContractError, DomainError, EigenSolveError
 from .geometry import QuadParams
@@ -65,7 +65,14 @@ def _as_mesh(mesh: Mesh | int, S: float) -> Mesh:
 
 
 class Workspace:
-    """Solved eigenpair plus cached derivative systems and the reduced factor."""
+    """Solved eigenpair, its images under the 12 affine blocks and the reduced factor.
+
+    Every derivative matrix is a combination of the affine blocks, and every
+    quantity here applies one to psi: with Y[b] = (block b) psi and q = Y psi,
+    psi^T A psi = w @ q and A psi = w @ Y for the combination A of weights w.
+    So no derivative matrix is assembled; the ``*_derivative`` accessors build
+    them for callers that want the matrices themselves.
+    """
 
     def __init__(self, state: EigenState):
         if state.form != "transformed":
@@ -86,40 +93,41 @@ class Workspace:
         self._d1 = first_tables(self.p)
         self._d2 = second_tables(self.p)
         self._wK, self._wM = _pencil_weights(self.alpha)
-        self._K_v: dict[str, sp.csr_matrix] = {}
-        self._M_v: dict[str, sp.csr_matrix | None] = {}
+        self._Y = affine_images(self.mesh, self.psi)
+        self._q = self._Y @ self.psi
+        self._Mpsi = self.M @ self.psi
         self._psi_v: dict[str, np.ndarray] = {}
         self._k = int(np.argmax(np.abs(self.psi)))
         self._lu = None
 
-    # -- derivative systems: weighted sums of the mesh's affine blocks ---------
+    # -- derivative matrices: weighted sums of the mesh's affine blocks --------
     def stiffness_derivative(self, v: str) -> sp.csr_matrix:
-        if v not in self._K_v:
-            d = self._d1[:, PARAMS.index(v)]
-            self._K_v[v] = affine_combination(self.mesh, d * self._wK)
-        return self._K_v[v]
+        return affine_combination(self.mesh, self._d1[:, PARAMS.index(v)] * self._wK)
 
     def mass_derivative(self, v: str) -> sp.csr_matrix | None:
-        if v not in self._M_v:
-            dm = self._d1[:, PARAMS.index(v)] * self._wM
-            self._M_v[v] = None if np.all(dm == 0.0) else affine_combination(self.mesh, dm)
-        return self._M_v[v]
+        dm = self._d1[:, PARAMS.index(v)] * self._wM
+        return None if np.all(dm == 0.0) else affine_combination(self.mesh, dm)
 
     def stiffness_second_derivative(self, v1: str, v2: str) -> sp.csr_matrix:
         d = self._d2[:, PARAMS.index(v1), PARAMS.index(v2)]
         return affine_combination(self.mesh, d * self._wK)
 
-    def _effective(self, v: str, vec: np.ndarray) -> np.ndarray:
-        """(K^v - lambda M^v) vec."""
-        out = self.stiffness_derivative(v) @ vec
-        Mv = self.mass_derivative(v)
-        if Mv is not None:
-            out -= self.lam * (Mv @ vec)
-        return out
+    # -- the same matrices contracted with psi ---------------------------------
+    def _weights(self, v: str) -> np.ndarray:
+        """Coefficients of K^v - lambda M^v."""
+        return self._d1[:, PARAMS.index(v)] * (self._wK - self.lam * self._wM)
+
+    def _effective(self, v: str) -> np.ndarray:
+        """(K^v - lambda M^v) psi."""
+        return self._weights(v) @ self._Y
+
+    def _mass_form(self, v: str) -> float:
+        """psi^T M^v psi."""
+        return float(self._q @ (self._d1[:, PARAMS.index(v)] * self._wM))
 
     # -- derivative values --------------------------------------------------
     def first(self, v: str) -> float:
-        return float(self.psi @ self._effective(v, self.psi))
+        return float(self._q @ self._weights(v))
 
     def gradient(self) -> np.ndarray:
         return np.array([self.first(v) for v in PARAMS])
@@ -139,13 +147,11 @@ class Workspace:
         if v not in self._psi_v:
             lu = self._reduced_lu()
             k, psi = self._k, self.psi
-            rhs = -self._effective(v, psi) + self.first(v) * (self.M @ psi)
+            rhs = -self._effective(v) + self.first(v) * self._Mpsi
             reduced = rhs.copy()
             reduced[k] = 0.0
             w = lu.solve(reduced)
-            Mv = self.mass_derivative(v)
-            c0 = 0.0 if Mv is None else -0.5 * float(psi @ (Mv @ psi))
-            psi_v = w + (c0 - float(psi @ (self.M @ w))) * psi
+            psi_v = w + (-0.5 * self._mass_form(v) - float(self._Mpsi @ w)) * psi
             resid = float(np.linalg.norm(self.K @ psi_v - self.lam * (self.M @ psi_v) - rhs))
             scale = max(1.0, float(np.linalg.norm(rhs)))
             if resid > 1e-9 * scale:
@@ -162,13 +168,9 @@ class Workspace:
         return self._psi_v[v]
 
     def second(self, v1: str, v2: str) -> float:
-        psi_v2 = self.eigenvector_derivative(v2)
-        value = float(self.psi @ (self.stiffness_second_derivative(v1, v2) @ self.psi))
-        Mv1 = self.mass_derivative(v1)
-        if Mv1 is not None:
-            value -= self.first(v2) * float(self.psi @ (Mv1 @ self.psi))
-        value += 2.0 * float(psi_v2 @ self._effective(v1, self.psi))
-        return value
+        d = self._d2[:, PARAMS.index(v1), PARAMS.index(v2)]
+        value = float(self._q @ (d * self._wK)) - self.first(v2) * self._mass_form(v1)
+        return value + 2.0 * float(self.eigenvector_derivative(v2) @ self._effective(v1))
 
     def hessian(self) -> np.ndarray:
         H = np.empty((4, 4))
@@ -280,9 +282,7 @@ def _square_hessian(alpha: float, S: float, mesh: Mesh | int) -> tuple[SquareHes
     for v in PARAMS:
         psi_v = ws.eigenvector_derivative(v)
         corrections[v] = -2.0 * ws.gram(psi_v, psi_v)
-    cross = 2.0 * float(
-        ws.eigenvector_derivative("a2") @ ws._effective("a1", ws.psi)
-    )
+    cross = 2.0 * float(ws.eigenvector_derivative("a2") @ ws._effective("a1"))
     H = np.zeros((4, 4))
     H[0, 0] = pure["a"] + corrections["a1"]
     H[1, 1] = pure["a"] + corrections["a2"]

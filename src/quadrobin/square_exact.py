@@ -115,7 +115,11 @@ def g_inverse(x: float) -> float:
 
 
 def f_inverse(x: float) -> float:
-    """The unique t in (0, pi/2) with t * tan(t) = x, for x > 0."""
+    """The unique t in (0, pi/2) with t * tan(t) = x, for x > 0.
+
+    Above x ~ 2.6e16 the root lies within one ulp of pi/2 and f of every
+    double below pi/2 stays under x: DomainError.
+    """
     x = float(x)
     if x <= 0.0:
         raise DomainError(f"f_inverse requires x > 0, got {x}")
@@ -124,7 +128,10 @@ def f_inverse(x: float) -> float:
     # f(hi) > x is guaranteed while keeping the bracket tight for large x
     hi = half_pi - min(0.5, 0.25 * half_pi / x)
     while f(hi) < x:  # parked too far from the pole; approach it
-        hi = 0.5 * (hi + half_pi)
+        closer = 0.5 * (hi + half_pi)
+        if closer == hi:
+            raise DomainError(f"closed forms are not finite: t tan t = {x} has no double root")
+        hi = closer
     return _bisect_newton(f, f_prime, x, 1e-300, hi, _ROOT_TOL * max(1.0, x))
 
 

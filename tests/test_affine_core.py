@@ -7,6 +7,7 @@ from quadrobin import assembly
 from quadrobin.assembly import (
     affine_blocks,
     affine_combination,
+    affine_images,
     assemble_transformed,
     directional_stiffness,
 )
@@ -88,3 +89,16 @@ def test_each_coefficient_weights_its_own_block(mesh):
         for r, expected in enumerate(reference):
             got = affine_combination(mesh, np.eye(12)[6 * j + r])
             _assert_close(got, expected.toarray(), 1e-13)
+
+
+@pytest.mark.parametrize(
+    "mesh", [build_mesh(12), build_mesh(6, 0.37), refine_mesh(build_mesh(5, 1.6))]
+)
+def test_affine_images_are_the_blocks_applied_to_a_vector(mesh):
+    x = np.random.default_rng(3).standard_normal(mesh.dof_count)
+    Y = affine_images(mesh, x)
+    assert Y.shape == (12, mesh.dof_count)
+    for b in range(12):
+        block = affine_combination(mesh, np.eye(12)[b])
+        row_scale = (abs(block) @ np.abs(x)).max()
+        assert np.abs(Y[b] - block @ x).max() <= 1e-13 * row_scale, b

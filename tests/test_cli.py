@@ -468,6 +468,8 @@ def test_oversize_mesh_is_refused_before_any_mesh_is_built(capsys, monkeypatch):
         (["certify", "--c", "1e-200", "--alpha", "-1"], 3),
         (["solve-square", "--alpha=-600"], 2),
         (["solve-square", "--alpha=-501"], 2),
+        # the positive branch's root t tan t = alpha L lies within one ulp of pi/2
+        (["solve-square", "--alpha=1e17"], 2),
     ],
 )
 def test_extreme_finite_inputs_fail_typed(capsys, argv, code):

@@ -8,7 +8,7 @@ from conftest import random_params
 from quadrobin.coefficients import PARAMS, coefficient_values, first_tables, second_tables
 from quadrobin.errors import ConditioningError, ContractError, DomainError, EigenSolveError
 from quadrobin.geometry import QuadParams
-from quadrobin.mesh import symmetry_permutation
+from quadrobin.mesh import refine_mesh, symmetry_permutation
 from quadrobin.sensitivity import (
     SensitivityReport,
     Workspace,
@@ -128,6 +128,16 @@ def test_eigenvector_derivative_mass_constraint(meshes):
         Mv = ws.mass_derivative(v)
         expected = 0.0 if Mv is None else -0.5 * float(ws.psi @ (Mv @ ws.psi))
         assert float(ws.psi @ (M @ psi_v)) == pytest.approx(expected, abs=1e-11)
+def _assembled_first(ws, v):
+    """d lambda / dv from the assembled derivative matrices."""
+    psi = ws.psi
+    value = float(psi @ (ws.stiffness_derivative(v) @ psi))
+    Mv = ws.mass_derivative(v)
+    if Mv is not None:
+        value -= ws.lam * float(psi @ (Mv @ psi))
+    return value
+
+
 def _bordered_reference(ws):
     """psi^v in every direction from the bordered system
     [[K - lambda M, M psi], [psi^T M, 0]] [psi^v; mu] = [rhs; -1/2 psi^T M^v psi],
@@ -139,7 +149,7 @@ def _bordered_reference(ws):
     )
     out = {}
     for v in PARAMS:
-        rhs = -(ws.stiffness_derivative(v) @ psi) + ws.first(v) * Mpsi
+        rhs = -(ws.stiffness_derivative(v) @ psi) + _assembled_first(ws, v) * Mpsi
         constraint = 0.0
         Mv = ws.mass_derivative(v)
         if Mv is not None:
@@ -162,7 +172,7 @@ def _reference_hessian(ws, psi_v):
             v2 = PARAMS[j]
             value = float(psi @ (ws.stiffness_second_derivative(v1, v2) @ psi))
             if Mv1 is not None:
-                value -= ws.first(v2) * float(psi @ (Mv1 @ psi))
+                value -= _assembled_first(ws, v2) * float(psi @ (Mv1 @ psi))
             value += 2.0 * float(psi_v[v2] @ effective)
             H[i, j] = H[j, i] = value
     return H
@@ -177,6 +187,9 @@ def _oracle_cases(rng):
     # corner regime: the ground state concentrates at the sharpest corner
     for p in (QuadParams.square(), QuadParams(1.5, -1.0, 0.7, 0.6), QuadParams(-1.2, 0.8, 1.6, 1.3)):
         cases.append((p, -8.0, 32))
+    # S != 1, alpha > 0 and a refine_mesh mesh
+    cases += [(QuadParams(0.4, -0.3, 0.9, 0.5, 0.7), -3.0, 16),
+              (QuadParams(-0.2, 0.5, 1.3, 1.4, 1.6), 2.5, "refined-8")]
     return cases
 
 
@@ -185,7 +198,10 @@ def test_nelson_derivatives_match_bordered_reference(rng, meshes):
     assert len(cases) >= 24
     assert any(p.S1 != p.S for p, _, _ in cases)
     for p, alpha, n in cases:
-        ws = Workspace(solve_quad(p, alpha, meshes(n)))
+        mesh = refine_mesh(meshes(8, p.S)) if n == "refined-8" else meshes(n, p.S)
+        ws = Workspace(solve_quad(p, alpha, mesh))
+        first = [_assembled_first(ws, v) for v in PARAMS]
+        assert np.abs(ws.gradient() - first).max() <= 1e-12 * max(1.0, abs(ws.lam))
         if p.is_square(tol=0.0):
             # argmax |psi| is a 4-way tie between the corners
             top = np.abs(ws.psi)
@@ -198,6 +214,31 @@ def test_nelson_derivatives_match_bordered_reference(rng, meshes):
         H_ref = _reference_hessian(ws, ref)
         H = ws.hessian()
         assert np.abs(H - H_ref).max() <= 1e-10 * np.abs(H_ref).max(), (p, alpha, n)
+
+
+def test_workspace_assembles_no_derivative_matrix_and_factorises_once(monkeypatch, meshes):
+    import quadrobin.assembly as assembly
+    import quadrobin.sensitivity as sensitivity
+    import quadrobin.solver as solver
+
+    state = solve_quad(GENERIC, -1.0, meshes(16))  # S1 != S: a mass derivative too
+    calls = {"affine_combination": 0, "_symmetric_lu": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    with monkeypatch.context() as m:
+        for module in (assembly, sensitivity):
+            m.setattr(module, "affine_combination", counted("affine_combination", module.affine_combination))
+        for module in (solver, sensitivity):
+            m.setattr(module, "_symmetric_lu", counted("_symmetric_lu", module._symmetric_lu))
+        ws = Workspace(state)
+        ws.gradient(), ws.hessian()
+    assert calls == {"affine_combination": 0, "_symmetric_lu": 1}
 
 
 def test_inconsistent_eigenvector_fails_the_residual_check(rng, meshes):

@@ -25,7 +25,8 @@ def _coarse_lambda(p, alpha, meshes):
 
 @pytest.mark.parametrize("alpha", [-0.5, -4.0, -16.0])
 def test_inertia_count_matches_dense_eigenvalues(rng, meshes, alpha):
-    for n in range(4, 9):
+    # mesh 16 (545 dof) is large enough for the factor to form panels
+    for n in [*range(4, 9), *([16] if alpha == -4.0 else [])]:
         for p in random_params(rng, 2):
             system = assemble_transformed(p, alpha, meshes(n))
             K, M = system.stiffness_plus_boundary, system.mass

@@ -137,6 +137,16 @@ def test_overflowing_closed_forms_raise_domain_error():
             solve_square(alpha, 1.0)
 
 
+def test_roots_beyond_double_precision_raise_domain_error():
+    # above x ~ 2.6e16 every double t < pi/2 has t tan t < x: no root to return
+    assert 0.0 < f_inverse(2e16) < math.pi / 2
+    for x in (3e16, 1e17, 1e20, 1e300):
+        with pytest.raises(DomainError):
+            f_inverse(x)
+    with pytest.raises(DomainError):
+        solve_square(1e20)
+
+
 def test_energy_identity_sweep():
     for alpha in np.concatenate([-np.logspace(-2, 1, 13)]):
         for S in (0.5, 1.0, 2.0):
