@@ -428,9 +428,12 @@ def assemble_direct(p: QuadParams, alpha: float, mesh: Mesh) -> AssembledSystem:
     phys = map_forward(p).apply(mesh.nodes)
     n = mesh.dof_count
     G = np.broadcast_to(np.eye(2), (len(mesh.triangles), 2, 2))
-    K = _stiffness_from(phys, mesh.triangles, n, G)
-    K = K + _boundary_from(
-        phys, mesh.bedge_nodes, n, np.full(len(mesh.bedge_nodes), alpha)
+    K = _stiffness_from(phys, mesh.triangles, n, G).tocoo()
+    B = _boundary_from(phys, mesh.bedge_nodes, n, np.full(len(mesh.bedge_nodes), alpha)).tocoo()
+    # summed as COO, since K + B drops the exact zeros of right-angled cells
+    # and would leave K on a smaller pattern than M
+    K = sp.coo_matrix(
+        (np.r_[K.data, B.data], (np.r_[K.row, B.row], np.r_[K.col, B.col])), shape=(n, n)
     )
     M = _mass_from(phys, mesh.triangles, n, np.ones(len(mesh.triangles)))
     return AssembledSystem(K.tocsr(), M.tocsr(), n, p, alpha, mesh, "direct")

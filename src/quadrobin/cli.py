@@ -302,11 +302,6 @@ def _cmd_verify_theorem3(cfg: RunConfig):
         c = min(max(c, 1e-6), 1e9)
         S1 = min(max(S1, 1e-12), 2 * S - 1e-12)
         p = QuadParams(a1, a2, c, S1, S)
-        # theta = 0 is on the rotation grid, so its distance bounds the grid
-        # minimum from above; the margin covers roundoff between the two calls
-        upper = hausdorff_distance_to_square(p, rotations=1, samples_per_edge=250)
-        if upper <= radius * (1.0 - 1e-9):
-            continue
         d = hausdorff_distance_to_square(p, rotations=180, samples_per_edge=250)
         if d <= radius:
             continue

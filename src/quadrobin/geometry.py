@@ -350,15 +350,17 @@ def _sample_boundary(vertices: np.ndarray, per_edge: int) -> np.ndarray:
 _BLOCK_POINTS = 32_768
 
 
-def _max_sq_dist_outside(px, py, polygon, work) -> np.ndarray:
-    """Largest squared distance to the boundary of ``polygon`` over outside points.
+def _sq_dist_outside(px, py, polygon, work=None) -> np.ndarray:
+    """Squared distance to the boundary of ``polygon`` per point, 0 inside it.
 
-    ``px``, ``py`` hold point coordinates with the points on the last axis;
-    a point inside the polygon (crossing-number test) counts 0.  ``work`` is
-    scratch space of shape ``(5,) + px.shape``, overwritten, so that repeated
-    calls allocate no large temporaries.  Returns the maximum over the last
-    axis, shape ``px.shape[:-1]``.
+    ``px``, ``py`` hold point coordinates of any one shape; a point inside
+    the polygon (crossing-number test) counts 0.  ``work`` is scratch space of
+    shape ``(5,) + px.shape``, overwritten, so that repeated calls allocate no
+    large temporaries; the result is its last array.  Every point's value
+    comes from the same elementwise operations, whatever the array's shape.
     """
+    if work is None:
+        work = np.empty((5,) + px.shape)
     dx, dy, t, tmp, best = work
     best.fill(np.inf)
     inside = np.zeros(px.shape, dtype=bool)
@@ -385,7 +387,65 @@ def _max_sq_dist_outside(px, py, polygon, work) -> np.ndarray:
         dx += np.square(dy, out=dy)
         np.minimum(best, dx, out=best)
     best[inside] = 0.0
-    return best.max(axis=-1)
+    return best
+
+
+def _rotation_bounds(square, quad, rotations: int, convex: bool):
+    """Per rotation theta, bounds ``lo <= F <= hi`` on the squared search value.
+
+    F(theta) is the larger of the squared quad -> square distance (exact, at
+    the quad's vertices) and the squared square -> quad distance sampled on
+    the square's boundary.  The square rotated by -theta against the fixed
+    quad has the distances of the quad rotated by theta against the fixed
+    square, so the square -> quad direction rotates the square, by the rows
+    ``to_x``, ``to_y`` (rotations, 2) returned with ``lo`` and ``hi``.
+
+    - ``lo``: the square's vertices are samples.
+    - ``hi``: the quad is the union of convex pieces, itself when ``convex``,
+      else its upper and lower triangles, which share the diagonal on
+      y = 0.  The distance to a convex piece is convex along a square edge,
+      so its larger endpoint value bounds the edge, and the least such bound
+      over the pieces bounds the distance to the quad.  For a convex quad
+      ``hi`` is ``lo``.
+    """
+    angles = np.linspace(0.0, 2.0 * math.pi, rotations, endpoint=False)
+    cos, sin = np.cos(angles), np.sin(angles)
+    qx = np.outer(cos, quad[:, 0]) - np.outer(sin, quad[:, 1])
+    qy = np.outer(sin, quad[:, 0]) + np.outer(cos, quad[:, 1])
+    sq = _sq_dist_outside(qx, qy, square).max(axis=1)
+
+    to_x, to_y = np.column_stack([cos, sin]), np.column_stack([-sin, cos])
+    vx, vy = to_x @ square.T, to_y @ square.T
+    lo = np.maximum(sq, _sq_dist_outside(vx, vy, quad).max(axis=1))
+    if convex:
+        return to_x, to_y, lo, lo
+    edge = np.full(vx.shape, np.inf)
+    for piece in (quad[[0, 1, 2]], quad[[2, 3, 0]]):
+        d = _sq_dist_outside(vx, vy, piece)
+        np.minimum(edge, np.maximum(d, np.roll(d, -1, axis=1)), out=edge)
+    return to_x, to_y, lo, np.maximum(sq, edge.max(axis=1))
+
+
+def _sampled_search(to_x, to_y, lo, square, quad, samples_per_edge: int) -> float:
+    """min over the given rotations of max(lo, sampled square -> quad), squared.
+
+    Samples ``samples_per_edge`` points per square edge, vertices included,
+    against the possibly non-convex quad; ``lo`` already holds the vertices'
+    values.  Rotations are evaluated as arrays, in blocks of about 32k
+    (rotation, sample) pairs, so the temporaries stay small.
+    """
+    samples = _sample_boundary(square, samples_per_edge).T
+    n = len(lo)
+    block = min(n, max(1, _BLOCK_POINTS // samples.shape[1]))
+    px, py, *work = np.empty((7, block, samples.shape[1]))
+    best = np.inf
+    for start in range(0, n, block):
+        b = min(block, n - start)
+        np.matmul(to_x[start : start + b], samples, out=px[:b])
+        np.matmul(to_y[start : start + b], samples, out=py[:b])
+        back = _sq_dist_outside(px[:b], py[:b], quad, [w[:b] for w in work])
+        best = min(best, np.maximum(lo[start : start + b], back.max(axis=1)).min())
+    return best
 
 
 def hausdorff_distance_to_square(
@@ -399,14 +459,17 @@ def hausdorff_distance_to_square(
     - quad -> square is exact: the distance to the convex square is convex
       along each quad edge, so its supremum sits at one of the 4 rotated
       vertices;
-    - square -> quad is sampled at ``samples_per_edge`` points per square
-      edge (vertices included) against the possibly non-convex quad.
+    - square -> quad is the maximum over ``samples_per_edge`` points per
+      square edge (vertices included) against the possibly non-convex quad.
 
-    Rotations are evaluated as arrays, in blocks of about 32k (rotation,
-    sample) pairs so the temporaries stay small; the square -> quad direction
-    rotates the square samples the opposite way, which leaves every distance
-    unchanged.  The result approximates the isometry-minimised set distance:
-    the translation and rotation searches are discrete and the square -> quad
+    Each rotation is first bounded from vertices alone
+    (``_rotation_bounds``).  For a convex quad the bounds coincide, so
+    square -> quad is exact too and no sample is taken.  Otherwise only the
+    undecided rotations are sampled, those whose lower bound lies under the
+    least upper bound: no other rotation can attain the minimum, so the
+    result is the same number as the full sampled search.  It approximates
+    the isometry-minimised set distance: the translation and rotation
+    searches are discrete, and for a non-convex quad the square -> quad
     distance is a sampled supremum.  Raises ParameterDomainError unless both
     counts are at least 1.
     """
@@ -417,23 +480,11 @@ def hausdorff_distance_to_square(
         )
     square = reference_square_vertices(p.S)
     quad = quad_vertices(p) - polygon_centroid(quad_vertices(p))
-    samples = _sample_boundary(square, samples_per_edge).T
-
-    angles = np.linspace(0.0, 2.0 * math.pi, rotations, endpoint=False)
-    cos, sin = np.cos(angles), np.sin(angles)
-    qx = np.outer(cos, quad[:, 0]) - np.outer(sin, quad[:, 1])
-    qy = np.outer(sin, quad[:, 0]) + np.outer(cos, quad[:, 1])
-    sq = _max_sq_dist_outside(qx, qy, square, np.empty((5,) + qx.shape))
-
-    # The square rotated by -theta against the fixed quad has the distances
-    # of the quad rotated by theta against the fixed square.
-    to_x, to_y = np.column_stack([cos, sin]), np.column_stack([-sin, cos])
-    block = min(rotations, max(1, _BLOCK_POINTS // samples.shape[1]))
-    px, py, *work = np.empty((7, block, samples.shape[1]))
-    for lo in range(0, rotations, block):
-        b = min(block, rotations - lo)
-        np.matmul(to_x[lo : lo + b], samples, out=px[:b])
-        np.matmul(to_y[lo : lo + b], samples, out=py[:b])
-        back = _max_sq_dist_outside(px[:b], py[:b], quad, [w[:b] for w in work])
-        np.maximum(sq[lo : lo + b], back, out=sq[lo : lo + b])
-    return float(np.sqrt(sq.min()))
+    to_x, to_y, lo, hi = _rotation_bounds(square, quad, rotations, is_convex(p))
+    best = hi.min()
+    rows = np.flatnonzero(lo < best)
+    if rows.size:
+        best = min(
+            best, _sampled_search(to_x[rows], to_y[rows], lo[rows], square, quad, samples_per_edge)
+        )
+    return float(np.sqrt(best))

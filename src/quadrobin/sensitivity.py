@@ -42,7 +42,7 @@ from .coefficients import PARAMS, first_tables, second_tables
 from .errors import ConditioningError, ContractError, DomainError, EigenSolveError
 from .geometry import QuadParams
 from .mesh import Mesh, build_mesh
-from .solver import EigenState, _symmetric_lu, solve_quad
+from .solver import EigenState, _shifted, _symmetric_lu, solve_quad
 from .square_exact import solve_square
 
 __all__ = [
@@ -135,7 +135,7 @@ class Workspace:
     def _reduced_lu(self):
         """SuperLU factor of K - lambda M with row and column k set to e_k."""
         if self._lu is None:
-            A = (self.K - self.lam * self.M).tocsc()
+            A = _shifted(self.K, self.M, self.lam)
             k = self._k
             A.data[A.indices == k] = 0.0
             A.data[A.indptr[k] : A.indptr[k + 1]] = 0.0

@@ -61,7 +61,7 @@ from .assembly import (
     assemble_transformed,
 )
 from .certificates import asymptotic_constant
-from .errors import DomainError, EigenSolveError, GeometryError
+from .errors import ContractError, DomainError, EigenSolveError, GeometryError
 from .geometry import QuadParams, interior_angles, perimeter
 from .mesh import Mesh, build_mesh
 
@@ -169,9 +169,22 @@ def _symmetric_lu(A: sp.csc_matrix):
     )
 
 
+def _shifted(K, M, s: float) -> sp.csc_matrix:
+    """K - s M as a CSC matrix, formed on the pattern K and M share.
+
+    Every assembly stores K and M on one CSR pattern, and K - s M is
+    symmetric, so the CSR arrays of K - s M are its CSC arrays too: no sparse
+    subtraction or format conversion is needed.  ContractError if the two
+    patterns differ.
+    """
+    if not (np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices)):
+        raise ContractError("K and M must share one sparsity pattern")
+    return sp.csc_matrix((K.data - s * M.data, K.indices, K.indptr), shape=K.shape)
+
+
 def _count_eigenvalues_below(K, M, sigma: float):
     """Negative-pivot count of K - sigma M (its inertia) plus the factorisation."""
-    lu = _symmetric_lu((K - sigma * M).tocsc())
+    lu = _symmetric_lu(_shifted(K, M, sigma))
     return int((lu.U.diagonal() < 0.0).sum()), lu
 
 

@@ -115,24 +115,54 @@ def g_inverse(x: float) -> float:
 
 
 def f_inverse(x: float) -> float:
-    """The unique t in (0, pi/2) with t * tan(t) = x, for x > 0.
+    """The unique t in (0, pi/2) with t * tan(t) = x, for finite x > 0.
 
-    Above x ~ 2.6e16 the root lies within one ulp of pi/2 and f of every
-    double below pi/2 stays under x: DomainError.
+    Above x ~ 2.6e16 the root lies beyond math.pi/2, the double nearest
+    pi/2, so no double in (0, pi/2) is left to return: DomainError.
+    """
+    return _f_root(x)[0]
+
+
+# pi/2 = _HALF_PI + _HALF_PI_LO: the double nearest pi/2 and the remainder
+_HALF_PI = 0.5 * math.pi
+_HALF_PI_LO = 6.123233995736766e-17
+# above this x the root is found as e = pi/2 - t (see _f_root), to a residual
+# of a few ulps of pi/2, so that e keeps nearly every digit
+_POLE_X = 1.0
+_POLE_TOL = 1e-15
+
+
+def _f_root(x: float) -> tuple[float, float]:
+    """(t, e): the root t of t tan t = x and its distance e = pi/2 - t to the pole.
+
+    For x <= _POLE_X the root is bracketed in t.  Above, t nears pi/2 like
+    pi/2 - (pi/2) / (x + 1), and a double t keeps only an absolute accuracy of
+    one ulp of pi/2 while cos t = sin e shrinks like 1/x.  So e is solved for
+    instead, from x tan e + e = pi/2 (that is (pi/2 - e) cot e = x), and keeps
+    its relative accuracy; t is then rounded down where it would round to
+    math.pi/2, so that it stays below pi/2.
     """
     x = float(x)
-    if x <= 0.0:
-        raise DomainError(f"f_inverse requires x > 0, got {x}")
-    half_pi = 0.5 * math.pi
-    # f blows up like (pi/2)/(pi/2 - t); back off the pole far enough that
-    # f(hi) > x is guaranteed while keeping the bracket tight for large x
-    hi = half_pi - min(0.5, 0.25 * half_pi / x)
-    while f(hi) < x:  # parked too far from the pole; approach it
-        closer = 0.5 * (hi + half_pi)
-        if closer == hi:
-            raise DomainError(f"closed forms are not finite: t tan t = {x} has no double root")
-        hi = closer
-    return _bisect_newton(f, f_prime, x, 1e-300, hi, _ROOT_TOL * max(1.0, x))
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"f_inverse requires finite x > 0, got {x}")
+    if x <= _POLE_X:
+        # f(hi) > x: f blows up like (pi/2)/(pi/2 - t)
+        hi = _HALF_PI - min(0.5, 0.25 * _HALF_PI / x)
+        t = _bisect_newton(f, f_prime, x, 1e-300, hi, _ROOT_TOL)
+        return t, _HALF_PI - t
+    # tan e >= e puts the root below (pi/2) / (x + 1), and tan e <= 1.06 e
+    # there puts it above half that
+    e = _bisect_newton(
+        lambda e: x * math.tan(e) + e,
+        lambda e: x / math.cos(e) ** 2 + 1.0,
+        _HALF_PI,
+        0.25 * math.pi / (x + 1.0),
+        0.5 * math.pi / (x + 1.0),
+        _POLE_TOL,
+    )
+    if e <= _HALF_PI_LO:
+        raise DomainError(f"closed forms are not finite: t tan t = {x} has no double root")
+    return min(_HALF_PI - (e - _HALF_PI_LO), math.nextafter(_HALF_PI, 0.0)), e
 
 
 def _sinhc_minus_one(y: float) -> float:
@@ -196,11 +226,11 @@ def solve_square(alpha: float, S: float = 1.0) -> SquareSolution:
                 dint = (t * t / L) * _sinhc_minus_one(2.0 * t)
                 trace = math.cosh(t) ** 2
             else:
-                t = f_inverse(alpha * L)
+                t, e = _f_root(alpha * L)
                 lam = 2.0 * (t / L) ** 2
                 m = L * (2.0 - _one_minus_sinc(2.0 * t))
                 dint = (t * t / L) * _one_minus_sinc(2.0 * t)
-                trace = math.cos(t) ** 2
+                trace = math.sin(e) ** 2  # cos(t)^2 without t's absolute error
             fields = (t, lam, 1.0 / m, 4.0 * trace / m, 2.0 * dint / m)
     except ArithmeticError:
         fields = (math.inf,)

@@ -236,12 +236,13 @@ def test_sweep_worker_count_is_capped(capsys, monkeypatch, cpus, expected):
 
 
 def _unscreened_theorem3(alpha, S, trials):
-    """The verify-theorem3 draw loop with the full rotation search on every
-    draw, as it ran before the one-rotation screen."""
+    """The verify-theorem3 draw loop written out, with the full rotation search
+    on every draw: (exit code, result, number of draws)."""
     radius = certs.hausdorff_threshold(alpha, S)
     th = certs.parameter_thresholds(alpha, S)
     rng = np.random.default_rng(20240817)
     c0 = math.sqrt(S)
+    draws = 0
     outside_checked = 0
     violations = []
     samples = []
@@ -264,6 +265,7 @@ def _unscreened_theorem3(alpha, S, trials):
         S1 = min(max(S1, 1e-12), 2 * S - 1e-12)
         p = QuadParams(a1, a2, c, S1, S)
         d = hausdorff_distance_to_square(p, rotations=180, samples_per_edge=250)
+        draws += 1
         if d <= radius:
             continue
         outside_checked += 1
@@ -277,17 +279,16 @@ def _unscreened_theorem3(alpha, S, trials):
         "outside_samples_checked": outside_checked,
         "violations": violations,
         "samples": samples[:10],
-    }
+    }, draws
 
 
 @pytest.mark.parametrize("alpha", [-1.0, -2.0])
-def test_verify_theorem3_screen_keeps_the_artifact(capsys, monkeypatch, alpha):
-    expected_code, expected = _unscreened_theorem3(alpha, 1.0, 30)
-    full_searches = []
+def test_verify_theorem3_searches_once_per_draw(capsys, monkeypatch, alpha):
+    expected_code, expected, draws = _unscreened_theorem3(alpha, 1.0, 30)
+    searches = []
 
     def counting(p, rotations=720, samples_per_edge=1000):
-        if rotations == 180:
-            full_searches.append(p)
+        searches.append((rotations, samples_per_edge))
         return hausdorff_distance_to_square(p, rotations, samples_per_edge)
 
     monkeypatch.setattr(cli, "hausdorff_distance_to_square", counting)
@@ -297,7 +298,8 @@ def test_verify_theorem3_screen_keeps_the_artifact(capsys, monkeypatch, alpha):
     assert code == expected_code
     artifact = json.loads(out)
     assert out == json.dumps({**artifact, "result": expected}, indent=2, default=float) + "\n"
-    assert len(full_searches) == artifact["result"]["outside_samples_checked"] == 30
+    assert artifact["result"]["outside_samples_checked"] == 30
+    assert searches == [(180, 250)] * draws
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from quadrobin import certificates as certs
+from quadrobin import geometry
 from quadrobin.errors import GeometryError, ParameterDomainError
 from quadrobin.geometry import (
     EDGE_IDS,
@@ -362,6 +364,92 @@ def test_hausdorff_matches_the_rotation_loop_at_the_defaults():
     for p in shapes:
         want = _loop_hausdorff_reference(p)
         assert abs(hausdorff_distance_to_square(p) - want) <= 1e-12
+
+
+# --- vertex bounds: which rotations the square -> quad samples still decide ---
+
+# non-convex: 12 of 180 rotations stay undecided by the vertex bounds
+_SAMPLED_SHAPE = QuadParams(1.58, 0.41, 0.96, 0.99)
+
+
+def _theorem3_draws(rng, count, alpha=-1.0):
+    """Shapes from the four draw modes of verify-theorem3, taken in turn."""
+    th = certs.parameter_thresholds(alpha, 1.0)
+    shapes = []
+    for i in range(count):
+        a1, a2, c, S1 = 0.0, 0.0, 1.0, 1.0
+        scale = 1.0 + rng.uniform(0.05, 3.0)
+        mode = i % 4
+        if mode == 0:
+            a1 = float(rng.choice([-1.0, 1.0])) * th.A * scale
+            a2 = float(rng.uniform(-2, 2))
+        elif mode == 1:
+            c = th.c1 * scale
+        elif mode == 2:
+            c = th.c2 / scale
+        else:
+            S1 = th.S_tilde / scale if rng.random() < 0.5 else 2.0 - th.S_tilde / scale
+        shapes.append(QuadParams(a1, a2, c, float(S1), 1.0))
+    return shapes
+
+
+@pytest.fixture
+def sampled_rotations(monkeypatch):
+    """Rotations handed to the sample pass, appended per call."""
+    counts = []
+    sample_pass = geometry._sampled_search
+
+    def counting(to_x, to_y, lo, *args):
+        counts.append(len(lo))
+        return sample_pass(to_x, to_y, lo, *args)
+
+    monkeypatch.setattr(geometry, "_sampled_search", counting)
+    return counts
+
+
+def test_vertex_bounds_decide_convex_shapes_and_theorem3_draws(sampled_rotations):
+    rng = np.random.default_rng(3)
+    convex = [p for p in _oracle_shapes(rng, 60) if is_convex(p)]
+    convex += [QuadParams.square(), QuadParams(0.6, -0.4, 1.2, 0.8), QuadParams(0.0, 0.0, 2.0, 1.0)]
+    assert len(convex) >= 10
+    for p in convex:
+        hausdorff_distance_to_square(p, rotations=180, samples_per_edge=250)
+    assert sampled_rotations == []
+    for alpha in (-1.0, -4.0):
+        draws = _theorem3_draws(np.random.default_rng(7), 32, alpha)
+        for p in draws:
+            hausdorff_distance_to_square(p, rotations=180, samples_per_edge=250)
+        assert sampled_rotations == []
+
+
+def test_undecided_rotations_are_sampled_and_keep_the_loop_value(sampled_rotations):
+    p = _SAMPLED_SHAPE
+    assert not is_convex(p)
+    got = hausdorff_distance_to_square(p, rotations=180, samples_per_edge=250)
+    assert 0 < sum(sampled_rotations) < 180
+    assert abs(got - _loop_hausdorff_reference(p, 180, 250)) <= 1e-12
+
+
+def test_vertex_bounds_enclose_each_sampled_rotation():
+    rotations, samples_per_edge = 90, 150
+    shapes = _oracle_shapes(np.random.default_rng(11), 16) + [_SAMPLED_SHAPE]
+    assert any(not is_convex(p) for p in shapes) and any(is_convex(p) for p in shapes)
+    square = reference_square_vertices()
+    square_samples = _sample_boundary(square, samples_per_edge)
+    angles = np.linspace(0.0, 2.0 * math.pi, rotations, endpoint=False)
+    for p in shapes:
+        quad = quad_vertices(p) - polygon_centroid(quad_vertices(p))
+        _, _, lo, hi = geometry._rotation_bounds(square, quad, rotations, is_convex(p))
+        quad_samples = _sample_boundary(quad, samples_per_edge)
+        for theta, lo_t, hi_t in zip(angles, np.sqrt(lo), np.sqrt(hi)):
+            rot = np.array(
+                [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+            )
+            sampled = max(
+                _directed_hausdorff(quad_samples @ rot.T, square),
+                _directed_hausdorff(square_samples, quad @ rot.T),
+            )
+            assert lo_t - 1e-12 <= sampled <= hi_t + 1e-12, (p, theta, lo_t, sampled, hi_t)
 
 
 @pytest.mark.parametrize(

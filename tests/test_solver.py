@@ -3,11 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from quadrobin.assembly import assemble_transformed, directional_stiffness
-from quadrobin.errors import DomainError, EigenSolveError
+import scipy.sparse as sp
+
+from quadrobin.assembly import (
+    assemble_direct,
+    assemble_plain_mass,
+    assemble_transformed,
+    directional_stiffness,
+)
+from quadrobin.errors import ContractError, DomainError, EigenSolveError
 from quadrobin.geometry import QuadParams
 from quadrobin.mesh import build_mesh, refine_mesh, symmetry_permutation
-from quadrobin.solver import rayleigh, safe_shift, solve_lowest, solve_quad
+from quadrobin.solver import _shifted, rayleigh, safe_shift, solve_lowest, solve_quad
 from quadrobin.square_exact import eval_eigenfunction, solve_square
 
 from conftest import random_params
@@ -129,3 +136,20 @@ def test_solve_lowest_dense_and_sparse_agree():
     sys = assemble_transformed(p, -1.5, build_mesh(24))
     pair = solve_lowest(sys, shift=safe_shift(p, -1.5))
     assert pair.lambda_h == pytest.approx(lam_coarse_path, rel=1e-12)
+
+
+@pytest.mark.parametrize("assemble", [assemble_transformed, assemble_plain_mass, assemble_direct])
+def test_shifted_matrix_is_the_sparse_difference(assemble):
+    meshes = [build_mesh(16), build_mesh(12, 0.37), refine_mesh(build_mesh(8, 1.6))]
+    for mesh in meshes:
+        S = mesh.S
+        # the square's right-angled cells give K exact zeros off the diagonal
+        for p in (QuadParams.square(S), QuadParams(0.3, -0.2, 1.3 * math.sqrt(S), 0.55 * S, S)):
+            system = assemble(p, -2.5, mesh)
+            K, M = system.stiffness_plus_boundary, system.mass
+            for s in (-7.25, 0.0, 3.5):
+                got = _shifted(K, M, s)
+                assert got.format == "csc"
+                assert np.array_equal(got.toarray(), (K - s * M).tocsc().toarray())
+    with pytest.raises(ContractError):
+        _shifted(K, sp.identity(K.shape[0], format="csr"), 1.0)

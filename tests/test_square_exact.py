@@ -147,6 +147,23 @@ def test_roots_beyond_double_precision_raise_domain_error():
         solve_square(1e20)
 
 
+@pytest.mark.parametrize("x", [1e4, 1e6, 1e9, 1e12])
+def test_closed_forms_near_the_pole_match_a_60_digit_root(x):
+    import mpmath as mp
+
+    with mp.workdps(60):
+        e = mp.findroot(lambda e: (mp.pi / 2 - e) * mp.cot(e) - x, mp.pi / (2 * (x + 1)))
+        t = mp.pi / 2 - e
+        # L = 1 at S = 2, so alpha L is x exactly; m = 1 + sin(2t) / (2t)
+        boundary = 4 * mp.sin(e) ** 2 / (1 + mp.sin(2 * t) / (2 * t))
+        lam = 2 * t**2
+    sol = solve_square(x, 2.0)
+    assert sol.L == 1.0
+    assert abs(sol.boundary_norm_sq / float(boundary) - 1.0) <= 1e-12
+    assert abs(sol.lambda1 / float(lam) - 1.0) <= 1e-15
+    assert abs(sol.t_star - float(t)) <= 2.3e-16
+
+
 def test_energy_identity_sweep():
     for alpha in np.concatenate([-np.logspace(-2, 1, 13)]):
         for S in (0.5, 1.0, 2.0):
