@@ -1,14 +1,17 @@
 """P1 finite-element assembly of the Robin forms on the reference square.
 
 The pullback pencil is affine in the 12 coefficients of ``coefficients``.
-``affine_blocks`` builds their unit blocks once per mesh, on one shared CSR
-pattern cached on the mesh; every pullback matrix (both pencils, the boundary
-masses, all parameter derivatives) is a weighted sum of them.  A mesh whose
-triangles and nodes are exactly ``build_mesh``'s for its level and S gets the
-pattern and slots from (iu, iv) index arithmetic and each triangle's local
-matrices from one of four fixed cell kinds.  Every other mesh (``refine_mesh``
-output, a hand-made or an edited mesh) takes the generic builder, which sorts
-all pattern keys and computes each triangle's geometry; it is also the
+``affine_blocks`` builds their unit blocks on one CSR pattern and caches them
+on the mesh; every pullback matrix (both pencils, the boundary masses, all
+parameter derivatives) is a weighted sum of them.  A mesh whose triangles,
+nodes, half flags and boundary segments are exactly ``build_mesh``'s for its
+level and S gets the pattern and slots from (iu, iv) index arithmetic and
+each triangle's local matrices from one of four fixed cell kinds.  Such
+blocks depend only on (level, S), so every ``build_mesh`` mesh of one
+(level, S) shares one read-only set, kept for the few keys used last.
+Every other mesh (``refine_mesh`` output, a hand-made or an edited mesh)
+takes the generic builder, which sorts all pattern keys and computes each
+triangle's geometry, and keeps its blocks to itself; it is also the
 stencil's test oracle.
 
 Three assemblies of the same spectral problem are provided.
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,17 +191,19 @@ class _AffineBlocks:
     lower) and, on those slots, E[r] = the block of coefficient 6j + r, r < 4.
     edges[s] = (slots, B): the block of coefficient _EDGE_W[s], the unit
     boundary mass of edge label s (``coefficients`` gives the order).  Storing
-    each half on its own slots (about half the pattern) keeps the cache to
-    ~10 MiB at mesh 128.
+    each half on its own slots (about half the pattern) keeps an entry to
+    ~10 MiB at mesh 128, growing with the square of the level (~40 MiB at
+    256); the ``_SHARED_KEYS`` = 3 shared entries hold at most three of them.
     A build_mesh mesh gets them from the cell stencil (``_stencil_pattern``),
     any other mesh from the sorted builder (``_sorted_pattern``); the two
-    agree in pattern and slots exactly and in values to roundoff.
+    agree in pattern and slots exactly and in values to roundoff.  Every
+    array is read-only, since one entry serves many meshes.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    halves: list
-    edges: list
+    halves: tuple
+    edges: tuple
 
 
 def _on_slots(slot: np.ndarray, nnz: int):
@@ -232,10 +238,14 @@ def _sorted_pattern(mesh: Mesh):
 
 
 def _is_built(mesh: Mesh) -> bool:
-    """Whether the mesh has build_mesh's triangles and nodes for its level and S."""
-    qu, qv, tris, _ = _build_layout(mesh.refinement_level)
-    nodes = _label_nodes(qu, qv, mesh.refinement_level, mesh.S)
-    return np.array_equal(mesh.triangles, tris) and np.array_equal(mesh.nodes, nodes)
+    """Whether the mesh is build_mesh's for its level and S in everything the
+    blocks read: triangles, nodes, half flags and labelled boundary segments."""
+    n = mesh.refinement_level
+    qu, qv, *built = _build_layout(n)  # triangles, tri_upper, bedge_nodes, bedge_side
+    fields = (mesh.triangles, mesh.tri_upper, mesh.bedge_nodes, mesh.bedge_side)
+    return all(map(np.array_equal, fields, built)) and np.array_equal(
+        mesh.nodes, _label_nodes(qu, qv, n, mesh.S)
+    )
 
 
 def _cell_slots() -> np.ndarray:
@@ -290,7 +300,7 @@ def _stencil_pattern(mesh: Mesh):
     rows = row_slot[np.column_stack([tri[:, 0:12:3], tri[:, 2]])].reshape(n * n, 45)
     slot = rows[:, _CELL_SLOTS].reshape(-1, 9)
 
-    qu, qv, tris, _ = _build_layout(1)  # the cell at the origin
+    qu, qv, tris, *_ = _build_layout(1)  # the cell at the origin
     # kinds[q, t]: block q's 3x3 local matrix on cell triangle t
     kinds = np.stack(list(_unit_locals(_label_nodes(qu, qv, n, mesh.S), tris)))
     kind = np.tile(np.arange(4, dtype=np.int8), n * n)
@@ -302,11 +312,8 @@ def _stencil_pattern(mesh: Mesh):
     return indptr, indices, slot, locals_of
 
 
-def affine_blocks(mesh: Mesh) -> _AffineBlocks:
-    """The mesh's affine blocks, built on first use and cached on the mesh."""
-    if mesh.affine_blocks is not None:
-        return mesh.affine_blocks
-    build = _stencil_pattern if _is_built(mesh) else _sorted_pattern
+def _build_blocks(mesh: Mesh, build) -> _AffineBlocks:
+    """The blocks of ``mesh`` from pattern builder ``build``, all arrays read-only."""
     indptr, indices, slot, locals_of = build(mesh)
     nnz = len(indices)
     halves = []
@@ -326,9 +333,32 @@ def affine_blocks(mesh: Mesh) -> _AffineBlocks:
         slots, where = _on_slots(edge_slot[on].ravel(), nnz)
         local = lengths[on, None, None] * _EDGE_PATTERN
         edges.append((slots, np.bincount(where, local.ravel(), len(slots))))
-    for shared in (indptr, indices):  # an in-place edit would corrupt every matrix
-        shared.setflags(write=False)
-    mesh.affine_blocks = _AffineBlocks(indptr, indices, halves, edges)
+    for shared in (indptr, indices, *(a for pair in halves + edges for a in pair)):
+        shared.setflags(write=False)  # an in-place edit would corrupt every matrix
+    return _AffineBlocks(indptr, indices, tuple(halves), tuple(edges))
+
+
+_SHARED_KEYS = 3  # (level, S) entries kept: the level-8 companion and solve levels
+_shared: OrderedDict = OrderedDict()  # (level, S) -> _AffineBlocks, least recent first
+
+
+def affine_blocks(mesh: Mesh) -> _AffineBlocks:
+    """The mesh's affine blocks, built on first use and cached on the mesh.
+
+    A build_mesh mesh takes the blocks shared by every build_mesh mesh of its
+    (level, S), stencil-built from the first of them; the last ``_SHARED_KEYS``
+    keys used are kept.  Any other mesh builds its own with the sorted builder.
+    """
+    if mesh.affine_blocks is None:
+        if _is_built(mesh):
+            key = (mesh.refinement_level, mesh.S)
+            blocks = _shared.pop(key, None) or _build_blocks(mesh, _stencil_pattern)
+            _shared[key] = blocks
+            if len(_shared) > _SHARED_KEYS:
+                _shared.popitem(last=False)
+        else:
+            blocks = _build_blocks(mesh, _sorted_pattern)
+        mesh.affine_blocks = blocks
     return mesh.affine_blocks
 
 

@@ -142,20 +142,28 @@ def quad_vertices(p: QuadParams) -> np.ndarray:
     )
 
 
+def _next_vertices(v: np.ndarray) -> np.ndarray:
+    """Coordinate rows (x, y) of each vertex's successor: np.roll(v, -1, 0).T
+    without np.roll's overhead, which dominates at 4 vertices."""
+    return np.concatenate([v[1:], v[:1]]).T
+
+
 def polygon_area(vertices: np.ndarray) -> float:
     """Signed shoelace area (positive for CCW orientation)."""
     v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    x, y = v.T
+    x1, y1 = _next_vertices(v)
+    return 0.5 * float(np.dot(x, y1) - np.dot(y, x1))
 
 
 def polygon_centroid(vertices: np.ndarray) -> np.ndarray:
     v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
+    x, y = v.T
+    x1, y1 = _next_vertices(v)
+    cross = x * y1 - x1 * y
     area = 0.5 * cross.sum()
-    cx = np.dot(x + np.roll(x, -1), cross) / (6.0 * area)
-    cy = np.dot(y + np.roll(y, -1), cross) / (6.0 * area)
+    cx = np.dot(x + x1, cross) / (6.0 * area)
+    cy = np.dot(y + y1, cross) / (6.0 * area)
     return np.array([cx, cy])
 
 
@@ -188,17 +196,19 @@ def interior_angles(p: QuadParams) -> np.ndarray:
     vertex triple, i.e. a degenerate quadrilateral.
     """
     v = quad_vertices(p)
-    orientation = 1.0 if polygon_area(v) > 0.0 else -1.0
+    e = v - v[[3, 0, 1, 2]]  # row k: the edge into vertex k
+    # every dot product and squared length in one matmul, rounded as np.dot
+    gram = (e @ e.T).tolist()
+    x, y = e.T.tolist()
     angles = np.empty(4)
     for k in range(4):
-        e_in = v[k] - v[k - 1]
-        e_out = v[(k + 1) % 4] - v[k]
-        cross = e_in[0] * e_out[1] - e_in[1] * e_out[0]
-        dot = float(np.dot(e_in, e_out))
-        scale = float(np.linalg.norm(e_in) * np.linalg.norm(e_out))
+        j = (k + 1) % 4  # the edge out of vertex k
+        # the cross product e_k x e_j, negated: quad_vertices runs clockwise
+        cross = y[k] * x[j] - x[k] * y[j]
+        scale = math.sqrt(gram[k][k]) * math.sqrt(gram[j][j])
         if scale == 0.0 or abs(cross) <= 1e-14 * scale:
             raise GeometryError(f"collinear vertex triple at vertex {k} of {p}")
-        angles[k] = math.pi - math.atan2(orientation * cross, dot)
+        angles[k] = math.pi - math.atan2(cross, gram[k][j])
     return angles
 
 
@@ -479,7 +489,8 @@ def hausdorff_distance_to_square(
             f"{rotations} and {samples_per_edge}"
         )
     square = reference_square_vertices(p.S)
-    quad = quad_vertices(p) - polygon_centroid(quad_vertices(p))
+    quad = quad_vertices(p)
+    quad -= polygon_centroid(quad)
     to_x, to_y, lo, hi = _rotation_bounds(square, quad, rotations, is_convex(p))
     best = hi.min()
     rows = np.flatnonzero(lo < best)

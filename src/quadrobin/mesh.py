@@ -109,11 +109,11 @@ _CELL_CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
 
 
 def _build_layout(n: int):
-    """Integer labels, triangles and per-cell ids of build_mesh(n).
+    """Integer labels, triangles, half flags and boundary segments of build_mesh(n).
 
     Cells run in (iu, iv) order.  Corner (iu, iv) has id iu * (n + 1) + iv; the
     centre of cell (iu, iv) has id (n + 1)^2 + iu * n + iv.  Returns qu, qv,
-    triangles and (iu, iv, sw, se, ne, nw) per cell.
+    triangles, tri_upper, bedge_nodes and bedge_side.
     """
     # integer u,v labels: corners at even multiples, cell centres at odd ones
     corner = np.arange(-n, n + 1, 2, dtype=np.int64)
@@ -123,11 +123,18 @@ def _build_layout(n: int):
 
     iu, iv = np.divmod(np.arange(n * n, dtype=np.int64), n)
     ids = [(iu + du) * (n + 1) + iv + dv for du, dv in _CELL_CORNERS]
+    sw, se, ne, nw = ids
     ctr = (n + 1) * (n + 1) + iu * n + iv
     tris = np.stack(
         [x for t in range(4) for x in (ids[t], ids[(t + 1) % 4], ctr)], axis=1
     ).reshape(-1, 3)
-    return qu, qv, tris, (iu, iv, *ids)
+    # y > 0 where qu + qv > 0; over triangle t of cell (iu, iv) the labels sum
+    # to 6 (iu + iv - n) + 4 (t = 0, 3) or + 8 (t = 1, 2)
+    upper = ((iu + iv - n)[:, None] + np.array([0, 1, 1, 0]) >= 0).ravel()
+    # per cell, in this order: v = +L, u = +L, u = -L, v = -L (EDGE_IDS order)
+    sides = np.stack([ne, nw, se, ne, nw, sw, sw, se], axis=1).reshape(-1, 4, 2)
+    on_side = np.stack([iv == n - 1, iu == n - 1, iu == 0, iv == 0], axis=1)
+    return qu, qv, tris, upper, sides[on_side], np.nonzero(on_side)[1]
 
 
 def _label_nodes(qu: np.ndarray, qv: np.ndarray, den: int, S: float) -> np.ndarray:
@@ -145,16 +152,12 @@ def build_mesh(n: int, S: float = 1.0) -> Mesh:
     if S <= 0.0:
         raise ParameterDomainError(f"S must be positive, got {S}")
     n = int(n)
-    qu, qv, tris, (iu, iv, sw, se, ne, nw) = _build_layout(n)
-    upper = (qu[tris] + qv[tris]).sum(axis=1) > 0
-    # per cell, in this order: v = +L, u = +L, u = -L, v = -L (EDGE_IDS order)
-    sides = np.stack([ne, nw, se, ne, nw, sw, sw, se], axis=1).reshape(-1, 4, 2)
-    on_side = np.stack([iv == n - 1, iu == n - 1, iu == 0, iv == 0], axis=1)
+    qu, qv, tris, upper, bedge_nodes, bedge_side = _build_layout(n)
     return Mesh(
         nodes=_label_nodes(qu, qv, n, S),
         triangles=tris,
-        bedge_nodes=sides[on_side],
-        bedge_side=np.nonzero(on_side)[1],
+        bedge_nodes=bedge_nodes,
+        bedge_side=bedge_side,
         tri_upper=upper,
         refinement_level=n,
         S=S,

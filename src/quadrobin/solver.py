@@ -81,7 +81,11 @@ _PANEL = 2  # SuperLU panel size (columns per panel): measured, see the module d
 
 @dataclass
 class EigenPair:
-    """Lowest generalized eigenpair with solve diagnostics."""
+    """Lowest generalized eigenpair with solve diagnostics.
+
+    ``iterations`` counts the shift-walk steps (factorisations), ``solves``
+    the Lanczos solves with the certified factor (0 on the dense path).
+    """
 
     lambda_h: float
     psi_h: np.ndarray
@@ -89,6 +93,7 @@ class EigenPair:
     iterations: int
     method: str
     shift: float | None = None
+    solves: int = 0
 
 
 @dataclass
@@ -196,7 +201,7 @@ def _dense_lowest(system: AssembledSystem, k: int = 2):
     return vals, vecs
 
 
-def _checked_pair(system, tol, lam, v, iterations, method, shift=None) -> EigenPair:
+def _checked_pair(system, tol, lam, v, iterations, method, shift=None, solves=0) -> EigenPair:
     """The M-normalised pair, if ||(K - lam M) v|| <= tol * ||K||_inf holds;
     otherwise EigenSolveError with the residual, its target and lam."""
     K, M = system.stiffness_plus_boundary, system.mass
@@ -214,11 +219,12 @@ def _checked_pair(system, tol, lam, v, iterations, method, shift=None) -> EigenP
                 "iterations": iterations,
             },
         )
-    return EigenPair(float(lam), v, res, iterations, method, shift)
+    return EigenPair(float(lam), v, res, iterations, method, shift, solves)
 
 
-def _lanczos(K, M, lu) -> np.ndarray:
-    """Top Ritz vector of (K - sigma M)^-1 M, ``lu`` factoring K - sigma M.
+def _lanczos(K, M, lu) -> tuple[np.ndarray, int]:
+    """Top Ritz vector of (K - sigma M)^-1 M, ``lu`` factoring K - sigma M,
+    and the number of solves with ``lu`` it took.
 
     B holds the M-orthonormal basis as rows, H the projected operator.  A full
     basis restarts from the top two Ritz vectors and the next Lanczos vector,
@@ -237,7 +243,7 @@ def _lanczos(K, M, lu) -> np.ndarray:
         beta = math.sqrt(max(w @ Mw, 0.0))
         theta, S = np.linalg.eigh(H[: j + 1, : j + 1], UPLO="U")
         if beta * abs(S[-1, -1]) <= np.finfo(float).eps * theta[-1] or solve == _MAX_SOLVES:
-            return S[:, -1] @ B[: j + 1]
+            return S[:, -1] @ B[: j + 1], solve
         if j + 1 < m:
             B[j + 1], Mq, j = w / beta, Mw / beta, j + 1
         else:
@@ -276,9 +282,9 @@ def solve_lowest(
             diagnostics={"shift": sigma, "dof": system.dof_count},
         )
 
-    v = _lanczos(K, M, lu)
+    v, solves = _lanczos(K, M, lu)
     lam = rayleigh(system, v)
-    return _checked_pair(system, tol, lam, v, attempt + 1, "lanczos-shift-invert", sigma)
+    return _checked_pair(system, tol, lam, v, attempt + 1, "lanczos-shift-invert", sigma, solves)
 
 
 @functools.lru_cache(maxsize=8)

@@ -16,6 +16,7 @@ lambda1, the L2 normalisation, the boundary trace norm and the gradient norm.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -204,10 +205,15 @@ def solve_square(alpha: float, S: float = 1.0) -> SquareSolution:
     """Exact first eigenpair on the rotated square of area 2S.
 
     alpha = 0 is outside the contract (the Neumann ground state is the
-    constant, a different closed form) and raises DomainError.
+    constant, a different closed form) and raises DomainError.  The frozen
+    result is cached per (alpha, S), so callers that need the same square
+    (the certificates of one ``certify_all``) share one solve.
     """
-    alpha = float(alpha)
-    S = float(S)
+    return _solve_square(float(alpha), float(S))
+
+
+@functools.lru_cache(maxsize=64)
+def _solve_square(alpha: float, S: float) -> SquareSolution:
     if not math.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha}")
     if not 0.0 < S < math.inf:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from quadrobin import square_exact
 from quadrobin.certificates import (
     CERTIFIED,
     Certificate,
@@ -307,3 +308,17 @@ def test_empirical_crossover_is_consistent():
             assert small_alpha_certificate(p, alpha_c).certified
         else:
             assert trial_one_certificate(p, alpha_c).certified
+
+
+def test_certify_all_solves_the_square_once(monkeypatch):
+    p, alpha = QuadParams(20.0, 0.5, 1.0, 1.0), -1.0
+    roots = []
+    g_inverse = square_exact.g_inverse
+    monkeypatch.setattr(square_exact, "g_inverse", lambda x: roots.append(x) or g_inverse(x))
+    square_exact._solve_square.cache_clear()
+    small, trial, _ = certify_all(p, alpha)
+    assert len(roots) == 1
+    fresh = square_exact._solve_square.__wrapped__(alpha, p.S)  # the uncached closed forms
+    assert small.quantities["g"] == -fresh.grad_norm_sq / (alpha * fresh.boundary_norm_sq)
+    assert trial.quantities["lambda0"] == fresh.lambda1
+    assert trial.certified

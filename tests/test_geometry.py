@@ -137,6 +137,58 @@ def test_collinear_vertices_raise():
         interior_angles(QuadParams(-2.0, 0.0, 1.0, 1.0))
 
 
+def _loop_interior_angles(p):
+    """interior_angles as a per-vertex loop, the form the array pass replaced."""
+    v = quad_vertices(p)
+    orientation = 1.0 if polygon_area(v) > 0.0 else -1.0
+    angles = np.empty(4)
+    for k in range(4):
+        e_in = v[k] - v[k - 1]
+        e_out = v[(k + 1) % 4] - v[k]
+        cross = e_in[0] * e_out[1] - e_in[1] * e_out[0]
+        dot = float(np.dot(e_in, e_out))
+        scale = float(np.linalg.norm(e_in) * np.linalg.norm(e_out))
+        if scale == 0.0 or abs(cross) <= 1e-14 * scale:
+            raise GeometryError(f"collinear vertex triple at vertex {k} of {p}")
+        angles[k] = math.pi - math.atan2(orientation * cross, dot)
+    return angles
+
+
+def test_interior_angles_match_the_vertex_loop():
+    shapes = _oracle_shapes(np.random.default_rng(31), 400)
+    # (-c, 0) on the segment between the apexes, (c, 0) on it, and 1e-9 off it
+    degenerate = [QuadParams(-2.0, 0.0, 1.0, 1.0), QuadParams(2.0, 0.0, 1.0, 1.0),
+                  QuadParams(-1.0, 1.0, 0.5, 0.5), QuadParams(-2.0 + 1e-9, 0.0, 1.0, 1.0)]
+    raised = 0
+    for p in shapes + degenerate:
+        try:
+            want = _loop_interior_angles(p)
+        except GeometryError as err:
+            with pytest.raises(GeometryError) as got:
+                interior_angles(p)
+            assert str(got.value) == str(err)
+            assert not is_convex(p)
+            raised += 1
+            continue
+        angles = interior_angles(p)
+        assert np.all(np.abs(angles - want) <= 1e-15 * want)
+        assert is_convex(p) == bool(np.all(want < math.pi))
+    assert raised == 3
+    assert any(is_convex(p) for p in shapes) and any(not is_convex(p) for p in shapes)
+
+
+def test_polygon_centroid_and_area_match_the_rolled_formulas():
+    for p in _oracle_shapes(np.random.default_rng(32), 50):
+        v = quad_vertices(p)
+        x, y = v[:, 0], v[:, 1]
+        x1, y1 = np.roll(x, -1), np.roll(y, -1)
+        cross = x * y1 - x1 * y
+        area = 0.5 * cross.sum()
+        want = [np.dot(x + x1, cross) / (6.0 * area), np.dot(y + y1, cross) / (6.0 * area)]
+        assert np.array_equal(polygon_centroid(v), want)
+        assert polygon_area(v) == 0.5 * float(np.dot(x, y1) - np.dot(y, x1))
+
+
 def test_rectangle_members_have_right_angles():
     # rectangles in the family: S1 = S, a2 = -a1, a1^2 = c^2 - S^2/c^2
     for c in (1.1, 1.3, math.sqrt(2.0)):

@@ -164,3 +164,24 @@ def test_solve_lowest_on_coarse_systems_matches_dense(rng):
                     pair = solve_lowest(system, shift=shift)
                     assert pair.method == "lanczos-shift-invert"
                     assert pair.lambda_h == pytest.approx(float(vals[0]), rel=1e-10)
+
+
+def test_eigen_pair_counts_its_factor_solves(monkeypatch, meshes):
+    solves = _counted_solves(monkeypatch)
+    factor = solver._symmetric_lu
+    factorisations = []
+    monkeypatch.setattr(solver, "_symmetric_lu", lambda A: factorisations.append(1) or factor(A))
+    shapes = [(QuadParams.square(), -1.0), (QuadParams(1.8, -0.4, 1.0, 1.0), -8.0),
+              (QuadParams(0.3, -0.2, 1.3, 0.55), -8.0)]
+    for p, alpha in shapes:
+        system = assemble_transformed(p, alpha, meshes(32))
+        # the certified shift, then one above lambda_h so that the walk takes steps
+        for shift in (safe_shift(p, alpha, _companion_lambda(p, alpha)), 0.0):
+            solves.clear()
+            factorisations.clear()
+            pair = solve_lowest(system, shift=shift)
+            assert pair.solves == len(solves) > 0
+            assert pair.iterations == len(factorisations)
+        assert pair.iterations > 1
+    # positional constructions keep working; the dense path makes no solves
+    assert solver.EigenPair(1.0, np.ones(2), 0.0, 1, "dense").solves == 0
