@@ -1,18 +1,16 @@
 """P1 finite-element assembly of the Robin forms on the reference square.
 
 The pullback pencil is affine in the 12 coefficients of ``coefficients``.
-``affine_blocks`` builds their unit blocks on one CSR pattern and caches them
-on the mesh; every pullback matrix (both pencils, the boundary masses, all
-parameter derivatives) is a weighted sum of them.  A mesh whose triangles,
-nodes, half flags and boundary segments are exactly ``build_mesh``'s for its
-level and S gets the pattern and slots from (iu, iv) index arithmetic and
-each triangle's local matrices from one of four fixed cell kinds.  Such
-blocks depend only on (level, S), so every ``build_mesh`` mesh of one
-(level, S) shares one read-only set, kept for the few keys used last.
-Every other mesh (``refine_mesh`` output, a hand-made or an edited mesh)
-takes the generic builder, which sorts all pattern keys and computes each
-triangle's geometry, and keeps its blocks to itself; it is also the
-stencil's test oracle.
+``affine_blocks`` builds their unit blocks on one CSR pattern once per mesh
+and caches them on it; every pullback matrix (both pencils, the boundary
+masses, all parameter derivatives) is a weighted sum of them.  A mesh never
+changes, and ``build_mesh`` returns one mesh per recent (level, S), so each
+key's blocks are built once.  A ``build_mesh`` mesh gets the pattern and
+slots from (iu, iv) index arithmetic and each triangle's local matrices from
+one of four fixed cell kinds.  Every other mesh (``refine_mesh`` output, a
+hand-made mesh or a ``dataclasses.replace`` copy) takes the generic builder,
+which sorts all pattern keys and computes each triangle's geometry; it is
+also the stencil's test oracle.
 
 Three assemblies of the same spectral problem are provided.
 
@@ -44,7 +42,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +100,7 @@ def _check_mesh(p: QuadParams, alpha: float, mesh: Mesh) -> None:
     if abs(mesh.S - p.S) > 1e-12 * max(1.0, p.S):
         raise ContractError(f"mesh built for S={mesh.S}, parameters have S={p.S}")
     if mesh.split_ok is None:  # the scan depends on the mesh alone: once per mesh
-        mesh.split_ok = _respects_split(mesh)
+        object.__setattr__(mesh, "split_ok", _respects_split(mesh))
     if not mesh.split_ok:
         raise ContractError("mesh has triangles crossing the line y = 0")
 
@@ -193,11 +190,10 @@ class _AffineBlocks:
     boundary mass of edge label s (``coefficients`` gives the order).  Storing
     each half on its own slots (about half the pattern) keeps an entry to
     ~10 MiB at mesh 128, growing with the square of the level (~40 MiB at
-    256); the ``_SHARED_KEYS`` = 3 shared entries hold at most three of them.
-    A build_mesh mesh gets them from the cell stencil (``_stencil_pattern``),
-    any other mesh from the sorted builder (``_sorted_pattern``); the two
-    agree in pattern and slots exactly and in values to roundoff.  Every
-    array is read-only, since one entry serves many meshes.
+    256).  A build_mesh mesh gets them from the cell stencil
+    (``_stencil_pattern``), any other mesh from the sorted builder
+    (``_sorted_pattern``); the two agree in pattern and slots exactly and in
+    values to roundoff.  Every array is read-only, like the mesh's own.
     """
 
     indptr: np.ndarray
@@ -235,17 +231,6 @@ def _sorted_pattern(mesh: Mesh):
     indices = (pattern % n).astype(np.int32)
     slot = slot.reshape(len(tris), 9)
     return indptr, indices, slot, lambda sel: _unit_locals(mesh.nodes, tris[sel])
-
-
-def _is_built(mesh: Mesh) -> bool:
-    """Whether the mesh is build_mesh's for its level and S in everything the
-    blocks read: triangles, nodes, half flags and labelled boundary segments."""
-    n = mesh.refinement_level
-    qu, qv, *built = _build_layout(n)  # triangles, tri_upper, bedge_nodes, bedge_side
-    fields = (mesh.triangles, mesh.tri_upper, mesh.bedge_nodes, mesh.bedge_side)
-    return all(map(np.array_equal, fields, built)) and np.array_equal(
-        mesh.nodes, _label_nodes(qu, qv, n, mesh.S)
-    )
 
 
 def _cell_slots() -> np.ndarray:
@@ -333,32 +318,17 @@ def _build_blocks(mesh: Mesh, build) -> _AffineBlocks:
         slots, where = _on_slots(edge_slot[on].ravel(), nnz)
         local = lengths[on, None, None] * _EDGE_PATTERN
         edges.append((slots, np.bincount(where, local.ravel(), len(slots))))
-    for shared in (indptr, indices, *(a for pair in halves + edges for a in pair)):
-        shared.setflags(write=False)  # an in-place edit would corrupt every matrix
+    for array in (indptr, indices, *(a for pair in halves + edges for a in pair)):
+        array.setflags(write=False)  # an in-place edit would corrupt every matrix
     return _AffineBlocks(indptr, indices, tuple(halves), tuple(edges))
 
 
-_SHARED_KEYS = 3  # (level, S) entries kept: the level-8 companion and solve levels
-_shared: OrderedDict = OrderedDict()  # (level, S) -> _AffineBlocks, least recent first
-
-
 def affine_blocks(mesh: Mesh) -> _AffineBlocks:
-    """The mesh's affine blocks, built on first use and cached on the mesh.
-
-    A build_mesh mesh takes the blocks shared by every build_mesh mesh of its
-    (level, S), stencil-built from the first of them; the last ``_SHARED_KEYS``
-    keys used are kept.  Any other mesh builds its own with the sorted builder.
-    """
+    """The mesh's affine blocks, built on first use and cached on the mesh:
+    from the cell stencil for a build_mesh mesh, else by the sorted builder."""
     if mesh.affine_blocks is None:
-        if _is_built(mesh):
-            key = (mesh.refinement_level, mesh.S)
-            blocks = _shared.pop(key, None) or _build_blocks(mesh, _stencil_pattern)
-            _shared[key] = blocks
-            if len(_shared) > _SHARED_KEYS:
-                _shared.popitem(last=False)
-        else:
-            blocks = _build_blocks(mesh, _sorted_pattern)
-        mesh.affine_blocks = blocks
+        build = _stencil_pattern if mesh._built else _sorted_pattern
+        object.__setattr__(mesh, "affine_blocks", _build_blocks(mesh, build))
     return mesh.affine_blocks
 
 

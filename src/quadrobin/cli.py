@@ -20,7 +20,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -95,15 +94,10 @@ def _threads(cells: int) -> int:
     return max(1, min(requested, os.cpu_count() or 1, cells))
 
 
-@lru_cache(maxsize=None)
-def _cached_mesh(n: int, S: float):
-    return build_mesh(n, S)
-
-
 def _sweep_cell(task):
     index, pdict, alpha, n = task
     p = QuadParams.from_dict(pdict)
-    state = solve_quad(p, alpha, _cached_mesh(n, p.S))
+    state = solve_quad(p, alpha, build_mesh(n, p.S))
     return {
         "index": index,
         "a1": p.a1,
@@ -174,7 +168,7 @@ def _cmd_solve_square(cfg: RunConfig):
 
 
 def _cmd_solve_quad(cfg: RunConfig):
-    state = solve_quad(cfg.params(), cfg.alpha, _cached_mesh(cfg.mesh, cfg.S))
+    state = solve_quad(cfg.params(), cfg.alpha, build_mesh(cfg.mesh, cfg.S))
     return 0, {
         "lambda_h": state.lambda_h,
         "residual": state.residual,
@@ -244,7 +238,7 @@ def _cmd_verify_theorem2(cfg: RunConfig):
     fem_checks = []
 
     def fem_compare(alpha: float, n: int) -> dict:
-        mesh = _cached_mesh(n, p.S)
+        mesh = build_mesh(n, p.S)
         lam_p = solve_quad(p, alpha, mesh).lambda_h
         lam_sq = solve_quad(QuadParams.square(p.S), alpha, mesh).lambda_h
         return {

@@ -12,9 +12,10 @@ are constant per triangle.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,7 +30,7 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _SIDE_OF_EDGE = {e: k for k, e in enumerate(EDGE_IDS)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mesh:
     """Triangulation of the rotated square of area 2S.
 
@@ -39,6 +40,11 @@ class Mesh:
     bedge_side     (B,)   index into EDGE_IDS for each boundary segment
     tri_upper      (T,)   True where the triangle lies in {y >= 0}
     refinement_level  nodes per half-diagonal; mesh size h = sqrt(2S)/level
+
+    A mesh never changes once made: it takes ownership of its arrays and
+    makes them read-only, and its fields cannot be reassigned, so nothing
+    cached on it (affine blocks, the split scan) can go stale.  An edited
+    mesh is a new one, e.g. ``dataclasses.replace(mesh, nodes=moved)``.
     """
 
     nodes: np.ndarray
@@ -56,6 +62,14 @@ class Mesh:
     affine_blocks: object = field(default=None, init=False, repr=False, compare=False)
     # whether no triangle crosses y = 0, scanned on first assembly (assembly._check_mesh)
     split_ok: bool | None = field(default=None, init=False, repr=False, compare=False)
+    # set by build_mesh only: the arrays are exactly its layout for (level, S)
+    _built: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     @property
     def dof_count(self) -> int:
@@ -145,15 +159,27 @@ def _label_nodes(qu: np.ndarray, qv: np.ndarray, den: int, S: float) -> np.ndarr
     return np.column_stack([(u - v) * _INV_SQRT2, (u + v) * _INV_SQRT2])
 
 
+_BUILT_KEYS = 3  # (level, S) meshes kept: the level-8 companion and solve levels
+
+
 def build_mesh(n: int, S: float = 1.0) -> Mesh:
-    """Crisscross mesh with n cells per grid direction (h = sqrt(2S)/n)."""
+    """Crisscross mesh with n cells per grid direction (h = sqrt(2S)/n).
+
+    The meshes of the last ``_BUILT_KEYS`` keys (n, S) are kept: a repeat
+    returns the same object, so the blocks ``assembly`` caches on it serve
+    every solve at that key.
+    """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ParameterDomainError(f"refinement level must be an integer >= 2, got {n}")
-    if S <= 0.0:
-        raise ParameterDomainError(f"S must be positive, got {S}")
-    n = int(n)
+    if not 0.0 < S < math.inf:
+        raise ParameterDomainError(f"S must be positive and finite, got {S}")
+    return _cached_build(int(n), float(S))
+
+
+@functools.lru_cache(maxsize=_BUILT_KEYS)
+def _cached_build(n: int, S: float) -> Mesh:
     qu, qv, tris, upper, bedge_nodes, bedge_side = _build_layout(n)
-    return Mesh(
+    mesh = Mesh(
         nodes=_label_nodes(qu, qv, n, S),
         triangles=tris,
         bedge_nodes=bedge_nodes,
@@ -165,6 +191,8 @@ def build_mesh(n: int, S: float = 1.0) -> Mesh:
         qv=qv,
         q_den=n,
     )
+    object.__setattr__(mesh, "_built", True)
+    return mesh
 
 
 def refine_mesh(mesh: Mesh) -> Mesh:

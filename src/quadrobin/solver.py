@@ -45,7 +45,6 @@ not used as an acceptance criterion.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -287,12 +286,6 @@ def solve_lowest(
     return _checked_pair(system, tol, lam, v, attempt + 1, "lanczos-shift-invert", sigma, solves)
 
 
-@functools.lru_cache(maxsize=8)
-def _companion(S: float) -> Mesh:
-    """The level-8 companion mesh for area S, shared with its affine blocks."""
-    return build_mesh(_COARSE_LEVEL, S)
-
-
 def solve_quad(
     p: QuadParams,
     alpha: float,
@@ -302,11 +295,13 @@ def solve_quad(
 ) -> EigenState:
     """Assemble and solve the lowest eigenpair for (p, alpha) on a mesh.
 
-    ``mesh`` may be a Mesh or a refinement level.  A mesh no finer than the
-    level-8 companion is solved densely; otherwise a dense solve on the
-    level-8 companion refines the safe shift for ``solve_lowest`` and
-    provides the spectral-gap estimate.  ``form`` selects the assembly route
-    ("transformed", "direct" or "plain").
+    ``mesh`` may be a Mesh or a refinement level n, which means
+    ``build_mesh(n, p.S)``.  A mesh no finer than the level-8 companion is
+    solved densely; otherwise a dense solve on the companion
+    ``build_mesh(8, p.S)`` refines the safe shift for ``solve_lowest`` and
+    provides the spectral-gap estimate.  ``build_mesh`` keeps recent meshes,
+    so repeated solves at one level and S reuse both meshes' blocks.
+    ``form`` selects the assembly route ("transformed", "direct" or "plain").
     """
     if isinstance(mesh, (int, np.integer)):
         mesh = build_mesh(int(mesh), p.S)
@@ -317,7 +312,7 @@ def solve_quad(
         vals, vecs = _dense_lowest(system)
         pair = _checked_pair(system, tol, vals[0], vecs[:, 0], 1, "dense")
     else:
-        vals, _ = _dense_lowest(assemble(p, alpha, _companion(p.S)))
+        vals, _ = _dense_lowest(assemble(p, alpha, build_mesh(_COARSE_LEVEL, p.S)))
         pair = solve_lowest(system, shift=safe_shift(p, alpha, float(vals[0])), tol=tol)
     gap = float(vals[1] - vals[0]) if len(vals) > 1 else None
     return EigenState(

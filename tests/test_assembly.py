@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -178,11 +179,12 @@ def test_export_coo(tmp_path, meshes):
 
 
 def test_split_scan_runs_once_per_mesh_and_rejects_a_crossing(monkeypatch):
-    mesh = build_mesh(4)
-    moved = build_mesh(4)
-    upper = moved.triangles[moved.tri_upper]
-    node = next(k for k in upper.ravel() if moved.nodes[k, 1] > 0.0)
-    moved.nodes[node, 1] = -moved.nodes[node, 1]  # across y = 0
+    mesh = dataclasses.replace(build_mesh(4))  # a fresh, never scanned copy
+    upper = mesh.triangles[mesh.tri_upper]
+    node = next(k for k in upper.ravel() if mesh.nodes[k, 1] > 0.0)
+    nodes = mesh.nodes.copy()
+    nodes[node, 1] = -nodes[node, 1]  # across y = 0
+    moved = dataclasses.replace(mesh, nodes=nodes)
     with pytest.raises(ContractError):
         assemble_transformed(QuadParams.square(), -1.0, moved)
     with pytest.raises(ContractError):  # the cached verdict keeps rejecting

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -14,6 +15,35 @@ def test_rejects_bad_arguments():
         build_mesh(1)
     with pytest.raises(ParameterDomainError):
         build_mesh(4, S=-1.0)
+
+
+@pytest.mark.parametrize("S", [math.nan, math.inf, -math.inf])
+def test_rejects_non_finite_area(S):
+    with pytest.raises(ParameterDomainError, match="S must be positive and finite"):
+        build_mesh(4, S)
+
+
+def test_build_mesh_returns_one_mesh_per_key():
+    mesh = build_mesh(6, 0.7)
+    assert build_mesh(6, 0.7) is mesh
+    assert build_mesh(np.int64(6), np.float64(0.7)) is mesh
+    assert build_mesh(6, 1.0) is not mesh
+    assert build_mesh(7, 0.7) is not mesh
+
+
+@pytest.mark.parametrize("make", [build_mesh, lambda n: refine_mesh(build_mesh(n))],
+                         ids=["built", "refined"])
+def test_meshes_cannot_be_edited(make):
+    mesh = make(4)
+    arrays = [f.name for f in dataclasses.fields(mesh) if isinstance(getattr(mesh, f.name), np.ndarray)]
+    assert arrays == ["nodes", "triangles", "bedge_nodes", "bedge_side", "tri_upper", "qu", "qv"]
+    for name in arrays:
+        a = getattr(mesh, name)
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+    for f in dataclasses.fields(mesh):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(mesh, f.name, getattr(mesh, f.name))
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])

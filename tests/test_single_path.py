@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import quadrobin.assembly as assembly
+import quadrobin.mesh as mesh_module
 import quadrobin.solver as solver
 from quadrobin.assembly import assemble_transformed
 from quadrobin.cli import main
@@ -117,16 +119,36 @@ def test_unreachable_tolerance_on_the_sparse_path_raises_after_bounded_solves(mo
     assert 0 < len(solves) <= 400
 
 
-def test_companion_mesh_is_built_once_per_area(monkeypatch):
+def _block_builds(monkeypatch):
+    """(level, S) of each affine-block build, from an empty build_mesh cache."""
+    mesh_module._cached_build.cache_clear()
     built = []
-    build = solver.build_mesh
-    monkeypatch.setattr(solver, "build_mesh", lambda n, S: built.append((n, S)) or build(n, S))
+    build = assembly._build_blocks
+    monkeypatch.setattr(
+        assembly,
+        "_build_blocks",
+        lambda mesh, how: built.append((mesh.refinement_level, mesh.S)) or build(mesh, how),
+    )
+    return built
+
+
+def test_companion_mesh_is_built_once_per_area(monkeypatch):
+    built = _block_builds(monkeypatch)
     p = QuadParams(0.2, -0.1, 1.1, 0.9, 1.37)
     for alpha in (-1.0, -2.0):
         solve_quad(p, alpha, 16)
-    # the solve mesh is built per call, the level-8 companion once with its blocks
-    assert built == [(16, 1.37), (8, 1.37), (16, 1.37)]
-    assert solver._companion(1.37).affine_blocks is not None
+    # the solve mesh and the level-8 companion are each built once with their blocks
+    assert built == [(16, 1.37), (8, 1.37)]
+    assert build_mesh(8, 1.37).affine_blocks is not None
+
+
+def test_repeated_level_128_solves_build_their_blocks_once(monkeypatch):
+    built = _block_builds(monkeypatch)
+    for S in (1.0, 0.61):
+        p = QuadParams(0.4, -0.2, 1.3, 0.8 * S, S)
+        for alpha in (-6.0, -12.0):
+            solve_quad(p, alpha, 128)
+    assert built == [(128, 1.0), (8, 1.0), (128, 0.61), (8, 0.61)]
 
 
 _SHAPES = [(QuadParams(0.4, -0.2, 1.3, 0.8), -0.5), (QuadParams(1.8, -0.4, 1.0, 1.0), -4.0)]
