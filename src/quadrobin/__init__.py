@@ -11,6 +11,11 @@ Modules by concern:
 - ``sensitivity``:   eigenvalue gradients and Hessians in (a1, a2, c, S1)
 - ``certificates``:  closed-form comparison certificates against the square
 - ``cli``:           the ``quadrobin`` command-line tool
+
+Only the finite-element path loads scipy: ``assembly`` and ``solver`` import
+it inside the functions that call it.  So importing the package, and the
+closed-form commands (``certify``, ``solve-square``, ``verify-theorem3``),
+start with numpy alone.
 """
 
 from .geometry import EDGE_IDS, EdgeId, QuadParams

@@ -43,15 +43,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._quadrature import gauss_legendre
 from .coefficients import coefficient_values
 from .errors import ContractError, DomainError
 from .geometry import QuadParams, map_forward
 from .mesh import _CELL_CORNERS, Mesh, _build_layout, _label_nodes
+
+if TYPE_CHECKING:  # scipy loads on first use, in the functions that call it
+    import scipy.sparse as sp
 
 __all__ = [
     "AssembledSystem",
@@ -133,6 +136,8 @@ def _triangle_geometry(nodes: np.ndarray, triangles: np.ndarray):
 
 
 def _scatter(local: np.ndarray, triangles: np.ndarray, n: int) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     rows = np.repeat(triangles, 3, axis=1).ravel()
     cols = np.tile(triangles, (1, 3)).ravel()
     mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
@@ -162,6 +167,8 @@ def _mass_from(nodes, triangles, n, weights: np.ndarray) -> sp.csr_matrix:
 
 def _boundary_from(nodes, bedge_nodes, n, edge_weights: np.ndarray) -> sp.csr_matrix:
     """1-D mass matrices on boundary segments, 3-point Gauss per segment."""
+    import scipy.sparse as sp
+
     if len(bedge_nodes) == 0:
         return sp.csr_matrix((n, n))
     t, w = gauss_legendre(3)
@@ -334,6 +341,8 @@ def affine_blocks(mesh: Mesh) -> _AffineBlocks:
 
 def affine_combination(mesh: Mesh, w: np.ndarray) -> sp.csr_matrix:
     """sum_b w[b] (block b) on the shared pattern, w (12,) in ``coefficients``' order."""
+    import scipy.sparse as sp
+
     blocks = affine_blocks(mesh)
     data = np.zeros(len(blocks.indices))
     for j, (slots, E) in enumerate(blocks.halves):
@@ -423,6 +432,8 @@ def assemble_plain_mass(p: QuadParams, alpha: float, mesh: Mesh) -> AssembledSys
 
 def assemble_direct(p: QuadParams, alpha: float, mesh: Mesh) -> AssembledSystem:
     """Standard Robin assembly on the mapped (physical) mesh."""
+    import scipy.sparse as sp
+
     _check_mesh(p, alpha, mesh)
     _warn_boundary_layer(p, alpha, mesh)
     phys = map_forward(p).apply(mesh.nodes)

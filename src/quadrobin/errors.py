@@ -31,7 +31,8 @@ class EigenSolveError(QuadRobinError, RuntimeError):
 
 
 class ConditioningError(EigenSolveError):
-    """Spectral gap too small for a well-conditioned derivative solve."""
+    """A derivative solve too ill-conditioned to trust: the spectral gap is
+    too small, or the eigenvector-derivative solve failed its residual check."""
 
     def __init__(self, message, gap=None, diagnostics=None):
         super().__init__(message, diagnostics)

@@ -477,9 +477,13 @@ def hausdorff_distance_to_square(
     square -> quad is exact too and no sample is taken.  Otherwise only the
     undecided rotations are sampled, those whose lower bound lies under the
     least upper bound: no other rotation can attain the minimum, so the
-    result is the same number as the full sampled search.  It approximates
-    the isometry-minimised set distance: the translation and rotation
-    searches are discrete, and for a non-convex quad the square -> quad
+    result is the same number as the full sampled search.
+
+    This is not the isometry-minimised set distance.  No translation is
+    searched: the centroids stay aligned, and the best translation of a
+    non-square quad generally lies elsewhere, so the value can lie above the
+    minimised distance (a median 16% above it on random shapes).  The
+    rotation search is discrete, and for a non-convex quad the square -> quad
     distance is a sampled supremum.  Raises ParameterDomainError unless both
     counts are at least 1.
     """

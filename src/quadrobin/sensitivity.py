@@ -32,18 +32,21 @@ independent validation oracle and for the CLI's --method fd.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._records import Record
 from .assembly import _pencil_weights, affine_combination, affine_images
 from .coefficients import PARAMS, first_tables, second_tables
-from .errors import ConditioningError, ContractError, DomainError, EigenSolveError
+from .errors import ConditioningError, ContractError, DomainError
 from .geometry import QuadParams
 from .mesh import Mesh, build_mesh
 from .solver import EigenState, _shifted, _symmetric_lu, solve_quad
 from .square_exact import solve_square
+
+if TYPE_CHECKING:  # scipy loads on first use, in the functions that call it
+    import scipy.sparse as sp
 
 __all__ = [
     "fd_gradient",
@@ -155,13 +158,18 @@ class Workspace:
             resid = float(np.linalg.norm(self.K @ psi_v - self.lam * (self.M @ psi_v) - rhs))
             scale = max(1.0, float(np.linalg.norm(rhs)))
             if resid > 1e-9 * scale:
-                raise EigenSolveError(
+                # the reduced solve amplifies psi's roundoff by ||psi_v|| / |psi_k|,
+                # which a near-degenerate corner cluster (large |alpha|) makes huge
+                gap = self.state.gap_estimate
+                raise ConditioningError(
                     "eigenvector-derivative solve failed its residual check",
+                    gap=gap,
                     diagnostics={
                         "residual": resid,
                         "direction": v,
                         "index": k,
                         "abs_psi_k": abs(float(psi[k])),
+                        "gap_estimate": gap,
                     },
                 )
             self._psi_v[v] = psi_v

@@ -47,11 +47,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg as dla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import (
     AssembledSystem,
@@ -63,6 +61,9 @@ from .certificates import asymptotic_constant
 from .errors import ContractError, DomainError, EigenSolveError, GeometryError
 from .geometry import QuadParams, interior_angles, perimeter
 from .mesh import Mesh, build_mesh
+
+if TYPE_CHECKING:  # scipy loads on first use, in the functions that call it
+    import scipy.sparse as sp
 
 __all__ = ["EigenPair", "EigenState", "rayleigh", "safe_shift", "solve_lowest", "solve_quad"]
 
@@ -164,6 +165,8 @@ def _normalize(v: np.ndarray, M: sp.spmatrix) -> np.ndarray:
 def _symmetric_lu(A: sp.csc_matrix):
     """SuperLU factor of a symmetric matrix with diagonal pivots only, in a
     minimum-degree order of A + A^T, so the U diagonal carries A's inertia."""
+    import scipy.sparse.linalg as spla
+
     return spla.splu(
         A,
         diag_pivot_thresh=0.0,
@@ -181,6 +184,8 @@ def _shifted(K, M, s: float) -> sp.csc_matrix:
     subtraction or format conversion is needed.  ContractError if the two
     patterns differ.
     """
+    import scipy.sparse as sp
+
     if not (np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices)):
         raise ContractError("K and M must share one sparsity pattern")
     return sp.csc_matrix((K.data - s * M.data, K.indices, K.indptr), shape=K.shape)
@@ -193,6 +198,8 @@ def _count_eigenvalues_below(K, M, sigma: float):
 
 
 def _dense_lowest(system: AssembledSystem, k: int = 2):
+    import scipy.linalg as dla
+
     K = system.stiffness_plus_boundary.toarray()
     M = system.mass.toarray()
     k = min(k, K.shape[0])

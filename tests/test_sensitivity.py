@@ -1,10 +1,12 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from conftest import random_params
+from quadrobin.cli import main
 from quadrobin.coefficients import PARAMS, coefficient_values, first_tables, second_tables
 from quadrobin.errors import ConditioningError, ContractError, DomainError, EigenSolveError
 from quadrobin.geometry import QuadParams
@@ -260,6 +262,23 @@ def test_tiny_gap_raises_conditioning_error(meshes):
     state.gap_estimate = 1e-12
     with pytest.raises(ConditioningError):
         Workspace(state)
+
+
+def test_near_degenerate_corner_cluster_raises_conditioning_error(capsys):
+    # at the square with alpha = -16 the four corner states nearly coincide and
+    # Nelson's reduced solve amplifies psi's roundoff past its residual check
+    with pytest.raises(ConditioningError) as info:
+        verify_local_max(-16.0, 1.0, 32)
+    diagnostics = info.value.diagnostics
+    assert diagnostics["residual"] > 0.0 and diagnostics["direction"] in PARAMS
+    assert diagnostics["gap_estimate"] == info.value.gap > 0.0
+    # a ConditioningError is an EigenSolveError: the CLI exits 3 with the diagnostics
+    assert main(["verify-theorem1", "--alpha", "-16", "--mesh", "32"]) == 3
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "numerical"
+    assert error["diagnostics"]["gap_estimate"] == info.value.gap
+
+
 def test_workspace_requires_transformed_form(meshes):
     state = solve_quad(GENERIC, -1.0, meshes(8), form="plain")
     with pytest.raises(ContractError):

@@ -65,7 +65,7 @@ def test_lanczos_runs_on_the_certified_factor(monkeypatch, meshes, alpha):
             return splu(*args, **kwargs)
 
         with monkeypatch.context() as m:
-            m.setattr(solver.spla, "splu", counted_splu)
+            m.setattr(spla, "splu", counted_splu)  # solver imports scipy on first use
             pair = solve_lowest(system, shift=shift)
         assert pair.method == "lanczos-shift-invert"
         assert pair.lambda_h == pytest.approx(float(reference[0]), rel=1e-10)
