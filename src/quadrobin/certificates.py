@@ -198,21 +198,21 @@ def large_alpha_certificate(p: QuadParams) -> Certificate:
     here; for them the square is known to be the maximiser by separation of
     variables, but that is not this certificate.
     """
-    angles = interior_angles(p)
-    constants = np.array([asymptotic_constant(t) for t in angles])
-    max_c = float(constants.max())
+    angles = interior_angles(p).tolist()
+    constants = [asymptotic_constant(t) for t in angles]
+    max_c = max(constants)
     cert = Certificate(
         kind="large_alpha_asymptotic",
         params=p,
         alpha=None,
         quantities={
-            **{f"theta_{k+1}": float(t) for k, t in enumerate(angles)},
-            **{f"C_{k+1}": float(v) for k, v in enumerate(constants)},
+            **{f"theta_{k+1}": t for k, t in enumerate(angles)},
+            **{f"C_{k+1}": v for k, v in enumerate(constants)},
             "max_C": max_c,
             "square_constant": 2.0,
         },
     )
-    if np.all(np.abs(angles - 0.5 * math.pi) <= _RECT_TOL):
+    if all(abs(t - 0.5 * math.pi) <= _RECT_TOL for t in angles):
         cert.notes = (
             "rectangle: all corner constants equal the square's; the square "
             "is still the maximiser among rectangles by separation of "

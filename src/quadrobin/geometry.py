@@ -14,6 +14,7 @@ an approximate Hausdorff distance to the equal-area square.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -354,50 +355,72 @@ def _sample_boundary(vertices: np.ndarray, per_edge: int) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
-# Points per array pass of the square -> quad direction (rotations x boundary
-# samples): 256 KiB per work array, so the seven arrays of a pass stay in a
-# per-core L2 cache; at 1000 samples a pass covers 32 rotations.
+# (rotation, boundary sample, quad edge) triples per array pass of the
+# square -> quad direction: 256 KiB per temporary array, whatever the sample
+# count; at 250 samples per edge a pass covers 8 rotations.
 _BLOCK_POINTS = 32_768
 
 
-def _sq_dist_outside(px, py, polygon, work=None) -> np.ndarray:
-    """Squared distance to the boundary of ``polygon`` per point, 0 inside it.
+def _sq_dist_outside(px, py, polygons) -> np.ndarray:
+    """Squared distance from points to a polygon's boundary, 0 inside it.
 
-    ``px``, ``py`` hold point coordinates of any one shape; a point inside
-    the polygon (crossing-number test) counts 0.  ``work`` is scratch space of
-    shape ``(5,) + px.shape``, overwritten, so that repeated calls allocate no
-    large temporaries; the result is its last array.  Every point's value
-    comes from the same elementwise operations, whatever the array's shape.
+    ``polygons`` holds vertex rows, shape ``(..., n, 2)``; ``px``, ``py`` hold
+    point coordinates, shape ``(..., m)``, whose leading axes broadcast
+    against the polygons'.  The result, shape ``(..., m)``, measures each
+    point against its own polygon; a point inside it (crossing-number test)
+    counts 0.  All (point, edge) pairs are one array pass, and every pair's
+    value comes from the same elementwise operations, whatever the shapes.
     """
-    if work is None:
-        work = np.empty((5,) + px.shape)
-    dx, dy, t, tmp, best = work
-    best.fill(np.inf)
-    inside = np.zeros(px.shape, dtype=bool)
-    below = [py < y for y in polygon[:, 1]]
-    n = len(polygon)
-    for k in range(n):
-        (ax, ay), (bx, by) = polygon[k], polygon[(k + 1) % n]
-        abx, aby = bx - ax, by - ay
-        np.subtract(px, ax, out=dx)
-        np.subtract(py, ay, out=dy)
-        if aby != 0.0:  # a horizontal edge crosses no horizontal ray
-            hit = np.less(dx, np.multiply(dy, abx / aby, out=tmp))
-            hit &= below[k] != below[(k + 1) % n]
-            inside ^= hit
-        # t = clip((d . ab) / |ab|^2, 0, 1), then d - t ab is the offset from
-        # the nearest point of the edge
-        inv = 1.0 / (abx * abx + aby * aby)
-        np.multiply(dx, abx * inv, out=t)
-        t += np.multiply(dy, aby * inv, out=tmp)
-        np.clip(t, 0.0, 1.0, out=t)
-        dx -= np.multiply(t, abx, out=tmp)
-        dy -= np.multiply(t, aby, out=tmp)
-        np.square(dx, out=dx)
-        dx += np.square(dy, out=dy)
-        np.minimum(best, dx, out=best)
+    # edge k runs from vertex k to vertex k+1; the edge axis leads, so the
+    # points' axis is the long inner loop of every array pass
+    polygons = polygons.reshape((1,) * (px.ndim + 1 - polygons.ndim) + polygons.shape)
+    a = np.moveaxis(polygons, -2, 0)[..., None, :]  # (n, ..., 1, 2)
+    b = np.concatenate([a[1:], a[:1]])
+    ax, ay, bx, by = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+    abx, aby = bx - ax, by - ay
+    dx, dy = px - ax, py - ay  # (n, ..., m)
+    # a horizontal edge crosses no horizontal ray, so its slope is never read
+    slope = np.divide(abx, aby, out=np.zeros(abx.shape), where=aby != 0.0)
+    hit = (py < ay) != (py < by)
+    hit &= dx < dy * slope
+    inside = np.logical_xor.reduce(hit)
+    # t = clip((d . ab) / |ab|^2, 0, 1), then d - t ab is the offset from the
+    # nearest point of the edge
+    inv = 1.0 / (abx * abx + aby * aby)
+    t = dx * (abx * inv)
+    t += dy * (aby * inv)
+    np.clip(t, 0.0, 1.0, out=t)
+    dx -= t * abx
+    dy -= t * aby
+    np.square(dx, out=dx)
+    dx += np.square(dy, out=dy)
+    best = dx.min(axis=0)
     best[inside] = 0.0
     return best
+
+
+@functools.lru_cache(maxsize=8)
+def _quarter_turn_residues(rotations: int):
+    """Rotation rows for the grid 2 pi i / rotations, taken modulo pi/2.
+
+    With g = gcd(rotations, 4) the residues are the ``rotations // g`` angles
+    (pi/2) g k / rotations: the grid's first quarter when g = 4, and a grid
+    2 or 4 times finer over [0, pi/2) when g = 2 or 1.  Returns the
+    read-only array ``turn`` (2, 2, residues, 2): ``turn[0]`` holds the x and
+    y rows that rotate a point by theta, ``turn[1]`` those that rotate it by
+    -theta.
+    """
+    g = math.gcd(rotations, 4)
+    angles = np.arange(rotations // g) * (2.0 * math.pi / rotations * (g / 4))
+    cos, sin = np.cos(angles), np.sin(angles)
+    turn = np.stack(
+        [
+            [np.column_stack([cos, -sin]), np.column_stack([sin, cos])],
+            [np.column_stack([cos, sin]), np.column_stack([-sin, cos])],
+        ]
+    )
+    turn.flags.writeable = False
+    return turn
 
 
 def _rotation_bounds(square, quad, rotations: int, convex: bool):
@@ -405,10 +428,13 @@ def _rotation_bounds(square, quad, rotations: int, convex: bool):
 
     F(theta) is the larger of the squared quad -> square distance (exact, at
     the quad's vertices) and the squared square -> quad distance sampled on
-    the square's boundary.  The square rotated by -theta against the fixed
-    quad has the distances of the quad rotated by theta against the fixed
-    square, so the square -> quad direction rotates the square, by the rows
-    ``to_x``, ``to_y`` (rotations, 2) returned with ``lo`` and ``hi``.
+    the square's boundary.  The square and its samples map onto themselves
+    under a quarter turn, so F(theta + pi/2) = F(theta), and only the grid's
+    residues modulo pi/2 are evaluated (``_quarter_turn_residues``).  The
+    square rotated by -theta against the fixed quad has the distances of the
+    quad rotated by theta against the fixed square, so the square -> quad
+    direction rotates the square, by the rows ``to_x``, ``to_y``
+    (residues, 2) returned with ``lo`` and ``hi``.
 
     - ``lo``: the square's vertices are samples.
     - ``hi``: the quad is the union of convex pieces, itself when ``convex``,
@@ -418,21 +444,19 @@ def _rotation_bounds(square, quad, rotations: int, convex: bool):
       over the pieces bounds the distance to the quad.  For a convex quad
       ``hi`` is ``lo``.
     """
-    angles = np.linspace(0.0, 2.0 * math.pi, rotations, endpoint=False)
-    cos, sin = np.cos(angles), np.sin(angles)
-    qx = np.outer(cos, quad[:, 0]) - np.outer(sin, quad[:, 1])
-    qy = np.outer(sin, quad[:, 0]) + np.outer(cos, quad[:, 1])
-    sq = _sq_dist_outside(qx, qy, square).max(axis=1)
-
-    to_x, to_y = np.column_stack([cos, sin]), np.column_stack([-sin, cos])
-    vx, vy = to_x @ square.T, to_y @ square.T
-    lo = np.maximum(sq, _sq_dist_outside(vx, vy, quad).max(axis=1))
+    turn = _quarter_turn_residues(rotations)
+    to_x, to_y = turn[1]
+    # (direction, coordinate, residue, vertex): the quad's vertices rotated
+    # by theta, then the square's rotated by -theta
+    px, py = (turn @ np.stack([quad.T, square.T])[:, None]).transpose(1, 0, 2, 3)
+    d = _sq_dist_outside(px, py, np.stack([square, quad])[:, None])
+    sq = d[0].max(axis=1)
+    lo = np.maximum(sq, d[1].max(axis=1))
     if convex:
         return to_x, to_y, lo, lo
-    edge = np.full(vx.shape, np.inf)
-    for piece in (quad[[0, 1, 2]], quad[[2, 3, 0]]):
-        d = _sq_dist_outside(vx, vy, piece)
-        np.minimum(edge, np.maximum(d, np.roll(d, -1, axis=1)), out=edge)
+    pieces = np.stack([quad[[0, 1, 2]], quad[[2, 3, 0]]])[:, None]
+    d = _sq_dist_outside(px[1], py[1], pieces)
+    edge = np.maximum(d, np.concatenate([d[..., 1:], d[..., :1]], axis=-1)).min(axis=0)
     return to_x, to_y, lo, np.maximum(sq, edge.max(axis=1))
 
 
@@ -442,19 +466,16 @@ def _sampled_search(to_x, to_y, lo, square, quad, samples_per_edge: int) -> floa
     Samples ``samples_per_edge`` points per square edge, vertices included,
     against the possibly non-convex quad; ``lo`` already holds the vertices'
     values.  Rotations are evaluated as arrays, in blocks of about 32k
-    (rotation, sample) pairs, so the temporaries stay small.
+    (rotation, sample, quad edge) triples, so the temporaries stay small.
     """
     samples = _sample_boundary(square, samples_per_edge).T
     n = len(lo)
-    block = min(n, max(1, _BLOCK_POINTS // samples.shape[1]))
-    px, py, *work = np.empty((7, block, samples.shape[1]))
+    block = min(n, max(1, _BLOCK_POINTS // len(quad) // samples.shape[1]))
     best = np.inf
     for start in range(0, n, block):
-        b = min(block, n - start)
-        np.matmul(to_x[start : start + b], samples, out=px[:b])
-        np.matmul(to_y[start : start + b], samples, out=py[:b])
-        back = _sq_dist_outside(px[:b], py[:b], quad, [w[:b] for w in work])
-        best = min(best, np.maximum(lo[start : start + b], back.max(axis=1)).min())
+        rows = slice(start, start + block)
+        back = _sq_dist_outside(to_x[rows] @ samples, to_y[rows] @ samples, quad)
+        best = min(best, np.maximum(lo[rows], back.max(axis=1)).min())
     return best
 
 
@@ -464,7 +485,12 @@ def hausdorff_distance_to_square(
     """Approximate Hausdorff distance to the equal-area square.
 
     Aligns centroids, then minimises over ``rotations`` uniformly spaced
-    rotations of the quadrilateral the larger of the two directed distances:
+    rotations of the quadrilateral the larger of the two directed distances.
+    The square and its boundary samples map onto themselves under a quarter
+    turn, so the value repeats every pi/2, and the search runs once over the
+    grid's ``rotations // gcd(rotations, 4)`` residues modulo pi/2: one
+    search over the 45 quarter-turn residues of 180 rotations, or the 180 of
+    the default 720.  Per rotation:
 
     - quad -> square is exact: the distance to the convex square is convex
       along each quad edge, so its supremum sits at one of the 4 rotated

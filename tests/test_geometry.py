@@ -391,11 +391,13 @@ def _oracle_shapes(rng, count):
 
 @pytest.mark.parametrize(
     "rotations, samples_per_edge, count",
-    [(90, 150, 136), (180, 200, 34), (180, 250, 34)],
+    # 7, 30 and 36 have gcd 1, 2 and 4 with 4: their quarter-turn residues
+    # are 4, 2 and 1 times finer than the grid
+    [(90, 150, 136), (180, 200, 34), (180, 250, 34), (7, 60, 12), (30, 60, 12), (36, 60, 12)],
 )
 def test_hausdorff_matches_the_rotation_loop(rotations, samples_per_edge, count):
     rng = np.random.default_rng(rotations * 1000 + samples_per_edge)
-    shapes = _oracle_shapes(rng, count)
+    shapes = _oracle_shapes(rng, count) + [_SAMPLED_SHAPE]
     assert any(not is_convex(p) for p in shapes) and any(is_convex(p) for p in shapes)
     for p in shapes:
         want = _loop_hausdorff_reference(p, rotations, samples_per_edge)
@@ -488,10 +490,10 @@ def test_vertex_bounds_enclose_each_sampled_rotation():
     assert any(not is_convex(p) for p in shapes) and any(is_convex(p) for p in shapes)
     square = reference_square_vertices()
     square_samples = _sample_boundary(square, samples_per_edge)
-    angles = np.linspace(0.0, 2.0 * math.pi, rotations, endpoint=False)
     for p in shapes:
         quad = quad_vertices(p) - polygon_centroid(quad_vertices(p))
-        _, _, lo, hi = geometry._rotation_bounds(square, quad, rotations, is_convex(p))
+        to_x, _, lo, hi = geometry._rotation_bounds(square, quad, rotations, is_convex(p))
+        angles = np.arctan2(to_x[:, 1], to_x[:, 0])
         quad_samples = _sample_boundary(quad, samples_per_edge)
         for theta, lo_t, hi_t in zip(angles, np.sqrt(lo), np.sqrt(hi)):
             rot = np.array(
@@ -502,6 +504,21 @@ def test_vertex_bounds_enclose_each_sampled_rotation():
                 _directed_hausdorff(square_samples, quad @ rot.T),
             )
             assert lo_t - 1e-12 <= sampled <= hi_t + 1e-12, (p, theta, lo_t, sampled, hi_t)
+
+
+# --- quarter-turn residues: each distinct angle of the grid is searched once ---
+
+
+@pytest.mark.parametrize("rotations, residues", [(180, 45), (90, 45), (7, 7)])
+def test_rotation_bounds_evaluate_one_angle_per_quarter_turn_residue(rotations, residues):
+    square = reference_square_vertices()
+    quad = quad_vertices(_SAMPLED_SHAPE) - polygon_centroid(quad_vertices(_SAMPLED_SHAPE))
+    for convex in (True, False):
+        to_x, to_y, lo, hi = geometry._rotation_bounds(square, quad, rotations, convex)
+        assert to_x.shape == to_y.shape == (residues, 2)
+        assert lo.shape == hi.shape == (residues,)
+    angles = np.arctan2(to_x[:, 1], to_x[:, 0])
+    assert np.all((0.0 <= angles) & (angles < 0.5 * math.pi))
 
 
 @pytest.mark.parametrize(
