@@ -138,7 +138,8 @@ def small_alpha_certificate(p: QuadParams, alpha: float) -> Certificate:
     if den < _MARGIN:
         cert.notes = "z undefined (0/0) at or numerically near the square"
         return cert
-    z = z_value(p)
+    # z_value(p) from the l and z_denominator already in hand, same operations
+    z = (p.S * lval / (4.0 * math.sqrt(2.0) * p.c0) - 1.0) / den
     cert.quantities["z"] = z
     cert.quantities["margin"] = z - g
     if z - g > _MARGIN:

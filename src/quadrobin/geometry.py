@@ -133,14 +133,12 @@ def quad_vertices(p: QuadParams) -> np.ndarray:
     from vertex k to vertex k+1 carries the k-th label of EDGE_IDS.  This
     traversal runs clockwise; the signed shoelace area is -2S.
     """
-    return np.array(
-        [
-            [-p.c, 0.0],
-            [p.a1, p.S1 / p.c],
-            [p.c, 0.0],
-            [p.a2, -p.S2 / p.c],
-        ]
-    )
+    return np.array(_vertex_rows(p))
+
+
+def _vertex_rows(p: QuadParams) -> list[list[float]]:
+    """quad_vertices as rows of Python floats."""
+    return [[-p.c, 0.0], [p.a1, p.S1 / p.c], [p.c, 0.0], [p.a2, -p.S2 / p.c]]
 
 
 def _next_vertices(v: np.ndarray) -> np.ndarray:
@@ -189,6 +187,30 @@ def perimeter(p: QuadParams) -> float:
     return sum(edge_length(p, e) for e in EDGE_IDS)
 
 
+def _corner_turns(p: QuadParams) -> list[tuple[float, float]]:
+    """(cross, dot) of the edges into and out of each vertex, in vertex order.
+
+    ``cross`` is their cross product negated, since quad_vertices runs
+    clockwise, so it is positive exactly where the interior angle is below
+    pi; ``dot`` is their dot product.  Raises GeometryError at the first
+    collinear vertex triple, ``|cross| <= 1e-14 |e_in| |e_out|``.
+    """
+    v = _vertex_rows(p)
+    e = [[v[k][0] - v[k - 1][0], v[k][1] - v[k - 1][1]] for k in range(4)]
+    a = np.array(e)
+    # every dot product and squared length in one matmul, rounded as np.dot
+    gram = (a @ a.T).tolist()
+    turns = []
+    for k in range(4):
+        j = (k + 1) % 4  # the edge out of vertex k
+        cross = e[k][1] * e[j][0] - e[k][0] * e[j][1]
+        scale = math.sqrt(gram[k][k]) * math.sqrt(gram[j][j])
+        if scale == 0.0 or abs(cross) <= 1e-14 * scale:
+            raise GeometryError(f"collinear vertex triple at vertex {k} of {p}")
+        turns.append((cross, gram[k][j]))
+    return turns
+
+
 def interior_angles(p: QuadParams) -> np.ndarray:
     """Interior angles at the four vertices, in radians, each in (0, 2*pi).
 
@@ -196,26 +218,13 @@ def interior_angles(p: QuadParams) -> np.ndarray:
     reports its angle above pi).  Raises GeometryError for a collinear
     vertex triple, i.e. a degenerate quadrilateral.
     """
-    v = quad_vertices(p)
-    e = v - v[[3, 0, 1, 2]]  # row k: the edge into vertex k
-    # every dot product and squared length in one matmul, rounded as np.dot
-    gram = (e @ e.T).tolist()
-    x, y = e.T.tolist()
-    angles = np.empty(4)
-    for k in range(4):
-        j = (k + 1) % 4  # the edge out of vertex k
-        # the cross product e_k x e_j, negated: quad_vertices runs clockwise
-        cross = y[k] * x[j] - x[k] * y[j]
-        scale = math.sqrt(gram[k][k]) * math.sqrt(gram[j][j])
-        if scale == 0.0 or abs(cross) <= 1e-14 * scale:
-            raise GeometryError(f"collinear vertex triple at vertex {k} of {p}")
-        angles[k] = math.pi - math.atan2(cross, gram[k][j])
-    return angles
+    return np.array([math.pi - math.atan2(cross, dot) for cross, dot in _corner_turns(p)])
 
 
 def is_convex(p: QuadParams) -> bool:
+    """Whether every interior angle lies below pi; False when degenerate."""
     try:
-        return bool(np.all(interior_angles(p) < math.pi))
+        return all(cross > 0.0 for cross, _ in _corner_turns(p))
     except GeometryError:
         return False
 
@@ -361,42 +370,80 @@ def _sample_boundary(vertices: np.ndarray, per_edge: int) -> np.ndarray:
 _BLOCK_POINTS = 32_768
 
 
-def _sq_dist_outside(px, py, polygons) -> np.ndarray:
-    """Squared distance from points to a polygon's boundary, 0 inside it.
+def _edges(vertices, start, end, ndim: int) -> np.ndarray:
+    """The constants of ``_edge_pass`` for the edges ``start[k] -> end[k]``.
 
-    ``polygons`` holds vertex rows, shape ``(..., n, 2)``; ``px``, ``py`` hold
-    point coordinates, shape ``(..., m)``, whose leading axes broadcast
-    against the polygons'.  The result, shape ``(..., m)``, measures each
-    point against its own polygon; a point inside it (crossing-number test)
-    counts 0.  All (point, edge) pairs are one array pass, and every pair's
-    value comes from the same elementwise operations, whatever the shapes.
+    ``vertices`` holds vertex rows of Python floats.  Returns the rows
+    (ax, ay, by, slope, abx / |ab|^2, aby / |ab|^2, abx, aby), shape
+    ``(8, edges) + (1,) * ndim``, so that they broadcast against points with
+    ``ndim`` axes.
     """
-    # edge k runs from vertex k to vertex k+1; the edge axis leads, so the
-    # points' axis is the long inner loop of every array pass
-    polygons = polygons.reshape((1,) * (px.ndim + 1 - polygons.ndim) + polygons.shape)
-    a = np.moveaxis(polygons, -2, 0)[..., None, :]  # (n, ..., 1, 2)
-    b = np.concatenate([a[1:], a[:1]])
-    ax, ay, bx, by = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
-    abx, aby = bx - ax, by - ay
-    dx, dy = px - ax, py - ay  # (n, ..., m)
-    # a horizontal edge crosses no horizontal ray, so its slope is never read
-    slope = np.divide(abx, aby, out=np.zeros(abx.shape), where=aby != 0.0)
+    rows = []
+    for i, j in zip(start, end):
+        (ax, ay), (bx, by) = vertices[i], vertices[j]
+        abx, aby = bx - ax, by - ay
+        # a horizontal edge crosses no horizontal ray, so its slope is never read
+        slope = abx / aby if aby != 0.0 else 0.0
+        inv = 1.0 / (abx * abx + aby * aby)
+        rows.append((ax, ay, by, slope, abx * inv, aby * inv, abx, aby))
+    return np.array(rows).T.reshape((8, len(rows)) + (1,) * ndim)
+
+
+def _edge_pass(px, py, edges):
+    """Crossing-number hits and squared distances, per (edge, point).
+
+    ``edges`` comes from ``_edges``; ``px``, ``py`` hold point coordinates.
+    Returns ``hit``, whether the rightward ray from the point crosses the
+    edge, and the squared distance from the point to the edge, both of shape
+    ``(edges,) + px.shape``.  Every (point, edge) value comes from the same
+    elementwise operations, whatever the shapes.
+    """
+    ax, ay, by, slope, ux, uy, abx, aby = edges
+    dx, dy = px - ax, py - ay
     hit = (py < ay) != (py < by)
     hit &= dx < dy * slope
-    inside = np.logical_xor.reduce(hit)
     # t = clip((d . ab) / |ab|^2, 0, 1), then d - t ab is the offset from the
     # nearest point of the edge
-    inv = 1.0 / (abx * abx + aby * aby)
-    t = dx * (abx * inv)
-    t += dy * (aby * inv)
-    np.clip(t, 0.0, 1.0, out=t)
+    t = dx * ux
+    t += dy * uy
+    np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
     dx -= t * abx
     dy -= t * aby
     np.square(dx, out=dx)
     dx += np.square(dy, out=dy)
-    best = dx.min(axis=0)
-    best[inside] = 0.0
+    return hit, dx
+
+
+def _sq_dist_outside(px, py, polygon) -> np.ndarray:
+    """Squared distance from points to a polygon's boundary, 0 inside it.
+
+    ``polygon`` holds its n vertex rows, shape ``(n, 2)``; ``px``, ``py``
+    hold point coordinates of any one shape, which the result takes.  A
+    point inside the polygon (crossing-number test) counts 0.  All
+    (point, edge) pairs are one array pass (``_edge_pass``).
+    """
+    # edge k runs from vertex k to vertex k+1; the edge axis leads, so the
+    # points' last axis is the long inner loop of every array pass
+    n = len(polygon)
+    edges = _edges(polygon.tolist(), range(n), [*range(1, n), 0], px.ndim)
+    hit, d = _edge_pass(px, py, edges)
+    best = d.min(axis=0)
+    best[np.logical_xor.reduce(hit)] = 0.0
     return best
+
+
+def _sq_dist_outside_box(uv: np.ndarray, h: float) -> np.ndarray:
+    """Squared distance from points to the box ``|u|, |v| <= h``, 0 inside it.
+
+    ``uv`` holds the u and v coordinates, shape ``(..., 2, m)``; the result
+    has shape ``(..., m)``.  The reference square ``|x| + |y| <= sqrt(S)``
+    turned by pi/4 is this box with ``h = sqrt(S/2)``.
+    """
+    d = np.abs(uv)
+    d -= h
+    np.maximum(d, 0.0, out=d)
+    d *= d
+    return d[..., 0, :] + d[..., 1, :]
 
 
 @functools.lru_cache(maxsize=8)
@@ -404,23 +451,47 @@ def _quarter_turn_residues(rotations: int):
     """Rotation rows for the grid 2 pi i / rotations, taken modulo pi/2.
 
     With g = gcd(rotations, 4) the residues are the ``rotations // g`` angles
-    (pi/2) g k / rotations: the grid's first quarter when g = 4, and a grid
-    2 or 4 times finer over [0, pi/2) when g = 2 or 1.  Returns the
+    theta = (pi/2) g k / rotations: the grid's first quarter when g = 4, and
+    a grid 2 or 4 times finer over [0, pi/2) when g = 2 or 1.  Returns the
     read-only array ``turn`` (2, 2, residues, 2): ``turn[0]`` holds the x and
-    y rows that rotate a point by theta, ``turn[1]`` those that rotate it by
-    -theta.
+    y rows that rotate a point by theta + pi/4, ``turn[1]`` those that rotate
+    it by -theta.
     """
     g = math.gcd(rotations, 4)
     angles = np.arange(rotations // g) * (2.0 * math.pi / rotations * (g / 4))
     cos, sin = np.cos(angles), np.sin(angles)
+    cos4, sin4 = np.cos(angles + 0.25 * math.pi), np.sin(angles + 0.25 * math.pi)
     turn = np.stack(
         [
-            [np.column_stack([cos, -sin]), np.column_stack([sin, cos])],
+            [np.column_stack([cos4, -sin4]), np.column_stack([sin4, cos4])],
             [np.column_stack([cos, sin]), np.column_stack([-sin, cos])],
         ]
     )
     turn.flags.writeable = False
     return turn
+
+
+@functools.lru_cache(maxsize=8)
+def _turned_square(rotations: int, r: float):
+    """The vertices of the square of circumradius r rotated by -theta.
+
+    Over the quarter-turn residues theta of the grid: the read-only array
+    (2, 4, residues) of their x and y coordinates, in the vertex order of
+    ``reference_square_vertices``.  Each coordinate is the single product
+    ``r cos`` or ``r sin`` that the rows ``turn[1]`` applied to those
+    vertices round to.
+    """
+    cos, sin = r * _quarter_turn_residues(rotations)[1, 0].T
+    turned = np.stack([[-cos, sin, cos, -sin], [sin, cos, -sin, -cos]])
+    turned.flags.writeable = False
+    return turned
+
+
+# the quad's edges 0 -> 1, 2 -> 3, 1 -> 2, 3 -> 0, so the upper triangle's two
+# quad edges are rows 0 and 2 and the lower's rows 1 and 3, then the diagonal
+# 0 -> 2 on which the triangles meet
+_EDGE_START = (0, 2, 1, 3, 0)
+_EDGE_END = (1, 3, 2, 0, 2)
 
 
 def _rotation_bounds(square, quad, rotations: int, convex: bool):
@@ -430,34 +501,50 @@ def _rotation_bounds(square, quad, rotations: int, convex: bool):
     the quad's vertices) and the squared square -> quad distance sampled on
     the square's boundary.  The square and its samples map onto themselves
     under a quarter turn, so F(theta + pi/2) = F(theta), and only the grid's
-    residues modulo pi/2 are evaluated (``_quarter_turn_residues``).  The
-    square rotated by -theta against the fixed quad has the distances of the
-    quad rotated by theta against the fixed square, so the square -> quad
-    direction rotates the square, by the rows ``to_x``, ``to_y``
-    (residues, 2) returned with ``lo`` and ``hi``.
+    residues modulo pi/2 are evaluated (``_quarter_turn_residues``).
+    ``square`` is ``reference_square_vertices(S)``.
 
-    - ``lo``: the square's vertices are samples.
-    - ``hi``: the quad is the union of convex pieces, itself when ``convex``,
-      else its upper and lower triangles, which share the diagonal on
-      y = 0.  The distance to a convex piece is convex along a square edge,
-      so its larger endpoint value bounds the edge, and the least such bound
-      over the pieces bounds the distance to the quad.  For a convex quad
-      ``hi`` is ``lo``.
+    - quad -> square, closed form: turned by a further pi/4 the square is the
+      box ``|u|, |v| <= sqrt(S/2)``, so one matmul turns the 4 vertices by
+      theta + pi/4 and ``_sq_dist_outside_box`` measures them.
+    - square -> quad: the square turned by -theta against the fixed quad has
+      the distances of the quad turned by theta against the fixed square.
+      The square's vertices turn by the rows ``to_x``, ``to_y``
+      (residues, 2) returned with ``lo`` and ``hi``, cached as
+      ``_turned_square``.  One array pass over the quad's 4 edges, plus its
+      diagonal from vertex 0 to vertex 2 when not ``convex``, gives every
+      squared distance and crossing-number hit that both bounds need.
+
+    ``lo`` takes the square's vertices as samples.  For ``hi`` the quad is
+    the union of convex pieces, itself when ``convex``, else its upper and
+    lower triangles.  They share the diagonal, which lies on y = 0 before
+    centring, so no horizontal ray crosses it and a triangle's crossing test
+    is its two quad edges'.  The distance to a convex piece is convex along a
+    square edge, so its larger endpoint value bounds the edge, and the least
+    such bound over the pieces bounds the distance to the quad.  For a convex
+    quad ``hi`` is ``lo``.
     """
     turn = _quarter_turn_residues(rotations)
     to_x, to_y = turn[1]
-    # (direction, coordinate, residue, vertex): the quad's vertices rotated
-    # by theta, then the square's rotated by -theta
-    px, py = (turn @ np.stack([quad.T, square.T])[:, None]).transpose(1, 0, 2, 3)
-    d = _sq_dist_outside(px, py, np.stack([square, quad])[:, None])
-    sq = d[0].max(axis=1)
-    lo = np.maximum(sq, d[1].max(axis=1))
+    n = len(to_x)
+    r = float(square[2, 0])
+    # (vertex, residue) arrays throughout: reducing over the short leading
+    # axis is an elementwise pass over rows
+    uv = (quad @ turn[0].reshape(2 * n, 2).T).reshape(4, 2, n)
+    sq = _sq_dist_outside_box(uv, r / math.sqrt(2.0))
+    count = 4 if convex else 5
+    px, py = _turned_square(rotations, r)
+    hit, d = _edge_pass(px, py, _edges(quad.tolist(), _EDGE_START[:count], _EDGE_END[:count], 2))
+    back = d[:4].min(axis=0)
+    np.putmask(back, np.logical_xor.reduce(hit), 0.0)
+    lo = np.maximum(sq, back).max(axis=0)
     if convex:
         return to_x, to_y, lo, lo
-    pieces = np.stack([quad[[0, 1, 2]], quad[[2, 3, 0]]])[:, None]
-    d = _sq_dist_outside(px[1], py[1], pieces)
-    edge = np.maximum(d, np.concatenate([d[..., 1:], d[..., :1]], axis=-1)).min(axis=0)
-    return to_x, to_y, lo, np.maximum(sq, edge.max(axis=1))
+    pieces = np.minimum(d[:2], d[2:4])
+    np.minimum(pieces, d[4], out=pieces)
+    np.putmask(pieces, hit[:2] ^ hit[2:4], 0.0)
+    edge = np.maximum(pieces, pieces[:, [1, 2, 3, 0]]).min(axis=0)
+    return to_x, to_y, lo, np.maximum(sq, edge).max(axis=0)
 
 
 def _sampled_search(to_x, to_y, lo, square, quad, samples_per_edge: int) -> float:
@@ -494,16 +581,18 @@ def hausdorff_distance_to_square(
 
     - quad -> square is exact: the distance to the convex square is convex
       along each quad edge, so its supremum sits at one of the 4 rotated
-      vertices;
+      vertices, and it is closed-form there (the square turned by pi/4 is
+      an axis-aligned box);
     - square -> quad is the maximum over ``samples_per_edge`` points per
       square edge (vertices included) against the possibly non-convex quad.
 
-    Each rotation is first bounded from vertices alone
-    (``_rotation_bounds``).  For a convex quad the bounds coincide, so
-    square -> quad is exact too and no sample is taken.  Otherwise only the
-    undecided rotations are sampled, those whose lower bound lies under the
-    least upper bound: no other rotation can attain the minimum, so the
-    result is the same number as the full sampled search.
+    The vertices, centroid and convexity are Python floats; each rotation is
+    then bounded from vertices alone, both bounds from one array pass over
+    the quad's edges (``_rotation_bounds``).  For a convex quad the bounds
+    coincide, so square -> quad is exact too and no sample is taken.
+    Otherwise only the undecided rotations are sampled, those whose lower
+    bound lies under the least upper bound: no other rotation can attain the
+    minimum, so the result is the same number as the full sampled search.
 
     This is not the isometry-minimised set distance.  No translation is
     searched: the centroids stay aligned, and the best translation of a
@@ -518,9 +607,15 @@ def hausdorff_distance_to_square(
             "rotations and samples_per_edge must be >= 1, got "
             f"{rotations} and {samples_per_edge}"
         )
+    v = _vertex_rows(p)
+    # polygon_centroid's shoelace sums, in Python floats
+    w = v[1:] + v[:1]
+    cross = [x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(v, w)]
+    area6 = 3.0 * sum(cross)
+    cx = sum((x0 + x1) * t for (x0, _), (x1, _), t in zip(v, w, cross)) / area6
+    cy = sum((y0 + y1) * t for (_, y0), (_, y1), t in zip(v, w, cross)) / area6
+    quad = np.array([[x - cx, y - cy] for x, y in v])
     square = reference_square_vertices(p.S)
-    quad = quad_vertices(p)
-    quad -= polygon_centroid(quad)
     to_x, to_y, lo, hi = _rotation_bounds(square, quad, rotations, is_convex(p))
     best = hi.min()
     rows = np.flatnonzero(lo < best)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from quadrobin import certificates as certs
 from quadrobin import square_exact
 from quadrobin.certificates import (
     CERTIFIED,
@@ -322,3 +323,17 @@ def test_certify_all_solves_the_square_once(monkeypatch):
     assert small.quantities["g"] == -fresh.grad_norm_sq / (alpha * fresh.boundary_norm_sq)
     assert trial.quantities["lambda0"] == fresh.lambda1
     assert trial.certified
+
+
+def test_small_alpha_quantities_match_z_value_bit_for_bit(rng, monkeypatch):
+    shapes = random_params(rng, 200, a_range=4.0, c_range=(0.1, 5.0), s1_frac=(0.05, 0.95))
+    for p in shapes:
+        q = small_alpha_certificate(p, -0.3).quantities
+        assert q["l"] == l_value(p) and q["z_denominator"] == z_denominator(p)
+        assert q["z"] == z_value(p) and q["margin"] == z_value(p) - q["g"]
+    # small_alpha and trial_one evaluate l once each
+    calls = []
+    monkeypatch.setattr(certs, "l_value", lambda p: calls.append(p) or l_value(p))
+    for p in shapes[:8]:
+        certify_all(p, -0.3)
+    assert calls == [p for p in shapes[:8] for _ in range(2)]

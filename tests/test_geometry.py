@@ -527,3 +527,150 @@ def test_rotation_bounds_evaluate_one_angle_per_quarter_turn_residue(rotations, 
 def test_hausdorff_rejects_empty_searches(rotations, samples_per_edge):
     with pytest.raises(ParameterDomainError):
         hausdorff_distance_to_square(QuadParams.square(), rotations, samples_per_edge)
+
+
+# --- the fused vertex pass: closed-form quad -> square, one edge pass back ---
+
+
+@pytest.mark.parametrize("S", [1.0, 0.3, 2.5])
+def test_closed_form_box_distance_matches_the_polygon_kernel(S):
+    rng = np.random.default_rng(int(10 * S))
+    square = reference_square_vertices(S)
+    r = math.sqrt(S)
+    near, far = rng.uniform(-r, r, (1000, 2)), rng.uniform(-4.0 * r, 4.0 * r, (1000, 2))
+    inside = near[np.abs(near).sum(axis=1) < 0.99 * r][:300]
+    outside = far[np.abs(far).sum(axis=1) > 1.01 * r][:300]
+    t = rng.uniform(0.0, 1.0, (300, 1))
+    k = rng.integers(0, 4, 300)
+    boundary = square[k] + t * (square[(k + 1) % 4] - square[k])
+    assert len(inside) == len(outside) == 300
+    x, y = np.concatenate([inside, outside, boundary]).T
+    # turned by pi/4 the square is the box |u|, |v| <= sqrt(S/2)
+    c = math.cos(0.25 * math.pi)
+    got = geometry._sq_dist_outside_box(np.stack([c * x - c * y, c * x + c * y]), math.sqrt(S / 2))
+    want = geometry._sq_dist_outside(x, y, square)
+    assert np.all(got[:300] == 0.0) and np.all(want[:300] == 0.0)
+    assert np.all(got[300:600] > 0.0)
+    assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-28 * S)
+
+
+def _angle_convexity(p):
+    """is_convex as the interior angles define it: every angle below pi."""
+    try:
+        return bool(np.all(interior_angles(p) < math.pi))
+    except GeometryError:
+        return False
+
+
+def test_is_convex_matches_the_interior_angles():
+    shapes = _oracle_shapes(np.random.default_rng(41), 400)
+    reflex = [QuadParams(3.0, 0.0, 1.0, 1.0), QuadParams(0.0, -3.0, 1.0, 1.0), _SAMPLED_SHAPE]
+    # (-c, 0) at distance ~eps from the segment between the apexes: the
+    # collinearity test |cross| <= 1e-14 scale raises for eps up to about
+    # 2e-14; beyond it eps > 0 bulges out (convex), eps < 0 is reflex
+    near = [QuadParams(-2.0 + s * e, 0.0, 1.0, 1.0) for e in np.logspace(-17, -11, 25) for s in (1, -1)]
+    # verify-theorem3 clamps c to [1e-6, 1e9] and S1 to [1e-12, 2S - 1e-12]
+    extremes = [
+        QuadParams(a1, a2, c, S1)
+        for c in (1e-6, 1e9)
+        for a1, a2 in ((0.0, 0.0), (5.0, -1.0), (-2.0, 2.0))
+        for S1 in (1e-12, 1.0, 2.0 - 1e-12)
+    ]
+    assert any(not is_convex(p) for p in shapes) and all(not is_convex(p) for p in reflex)
+    for p in shapes + reflex + near + extremes:
+        assert is_convex(p) == _angle_convexity(p), p
+    outcomes = set()
+    for p in near:
+        try:
+            interior_angles(p)
+        except GeometryError:
+            outcomes.add("collinear")
+        else:
+            outcomes.add(is_convex(p))
+    assert outcomes == {True, False, "collinear"}
+
+
+def _two_call_sq_dist_outside(px, py, polygons):
+    """The broadcast polygon kernel the fused vertex pass replaced, verbatim."""
+    polygons = polygons.reshape((1,) * (px.ndim + 1 - polygons.ndim) + polygons.shape)
+    a = np.moveaxis(polygons, -2, 0)[..., None, :]
+    b = np.concatenate([a[1:], a[:1]])
+    ax, ay, bx, by = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+    abx, aby = bx - ax, by - ay
+    dx, dy = px - ax, py - ay
+    slope = np.divide(abx, aby, out=np.zeros(abx.shape), where=aby != 0.0)
+    hit = (py < ay) != (py < by)
+    hit &= dx < dy * slope
+    inside = np.logical_xor.reduce(hit)
+    inv = 1.0 / (abx * abx + aby * aby)
+    t = dx * (abx * inv)
+    t += dy * (aby * inv)
+    np.clip(t, 0.0, 1.0, out=t)
+    dx -= t * abx
+    dy -= t * aby
+    np.square(dx, out=dx)
+    dx += np.square(dy, out=dy)
+    best = dx.min(axis=0)
+    best[inside] = 0.0
+    return best
+
+
+def _two_call_bounds(square, quad, to_x, to_y, convex):
+    """The vertex bounds as the fused pass replaced them, kept as the oracle.
+
+    One kernel call measures the quad's vertices turned by theta against the
+    square and the square's turned by -theta against the quad; a second
+    measures the square's against the quad's two triangles.
+    """
+    by_theta = [np.column_stack([to_x[:, 0], to_y[:, 0]]), np.column_stack([to_x[:, 1], to_y[:, 1]])]
+    turn = np.stack([by_theta, [to_x, to_y]])
+    px, py = (turn @ np.stack([quad.T, square.T])[:, None]).transpose(1, 0, 2, 3)
+    d = _two_call_sq_dist_outside(px, py, np.stack([square, quad])[:, None])
+    sq = d[0].max(axis=1)
+    lo = np.maximum(sq, d[1].max(axis=1))
+    if convex:
+        return lo, lo
+    pieces = np.stack([quad[[0, 1, 2]], quad[[2, 3, 0]]])[:, None]
+    d = _two_call_sq_dist_outside(px[1], py[1], pieces)
+    edge = np.maximum(d, np.concatenate([d[..., 1:], d[..., :1]], axis=-1)).min(axis=0)
+    return lo, np.maximum(sq, edge.max(axis=1))
+
+
+@pytest.mark.parametrize("rotations", [180, 7, 30, 36])
+def test_fused_vertex_bounds_match_the_two_call_composition(rotations):
+    rng = np.random.default_rng(50 + rotations)
+    shapes = _oracle_shapes(rng, 40) + _theorem3_draws(rng, 16) + [
+        _SAMPLED_SHAPE,
+        QuadParams.square(),
+        QuadParams(-0.9, 1.7, 2.1, 2.9, S=2.0),
+    ]
+    assert any(not is_convex(p) for p in shapes) and any(is_convex(p) for p in shapes)
+    for p in shapes:
+        square = reference_square_vertices(p.S)
+        quad = quad_vertices(p) - polygon_centroid(quad_vertices(p))
+        for convex in {is_convex(p), False}:
+            to_x, to_y, lo, hi = geometry._rotation_bounds(square, quad, rotations, convex)
+            want_lo, want_hi = _two_call_bounds(square, quad, to_x, to_y, convex)
+            assert np.all(np.abs(lo - want_lo) <= 1e-12 * np.maximum(1.0, want_lo)), p
+            assert np.all(np.abs(hi - want_hi) <= 1e-12 * np.maximum(1.0, want_hi)), p
+            assert np.all(lo <= hi)
+
+
+def test_each_theorem3_draw_evaluates_interior_angles_once(monkeypatch):
+    alpha = -1.0
+    th = certs.parameter_thresholds(alpha, 1.0)
+    draws = _theorem3_draws(np.random.default_rng(20), 32, alpha)
+    calls = []
+    angles = geometry.interior_angles
+
+    def counting(p):
+        calls.append(p)
+        return angles(p)
+
+    monkeypatch.setattr(geometry, "interior_angles", counting)
+    monkeypatch.setattr(certs, "interior_angles", counting)
+    for p in draws:
+        hausdorff_distance_to_square(p, rotations=180, samples_per_edge=250)
+        certs.threshold_conditions(p, alpha, th)
+        certs.certify_all(p, alpha)
+    assert calls == draws
