@@ -33,7 +33,9 @@ Three assemblies of the same spectral problem are provided.
     mass.  For S1 = S it coincides entrywise with the transported system
     (weights are 1), in particular on the square.  For S1 != S it is a
     different pencil: the plain-mass normalisation hides a weight jump across
-    y = 0, and its lowest eigenvalue lies strictly below the quadrilateral's.
+    y = 0, and its lowest eigenvalue differs from the quadrilateral's, on
+    either side.  At alpha = -1 it lies below it for (0.3, -0.2, 1.3, 0.55)
+    and above it for (0, -0.13, 0.74, 0.75).
     It is exposed because several closed-form identities (for instance the
     all-ones Rayleigh quotient (alpha/2) * l(p)) are identities of this form.
 """
@@ -108,13 +110,13 @@ def _check_mesh(p: QuadParams, alpha: float, mesh: Mesh) -> None:
         raise ContractError("mesh has triangles crossing the line y = 0")
 
 
-def _warn_boundary_layer(p: QuadParams, alpha: float, mesh: Mesh) -> None:
+def _warn_boundary_layer(p: QuadParams, alpha: float, mesh: Mesh, stacklevel: int = 3) -> None:
     if abs(alpha) * math.sqrt(2.0 * p.S) > 30.0 and mesh.h > 0.2 / abs(alpha):
         warnings.warn(
             f"mesh size h={mesh.h:.3g} does not resolve the boundary layer "
             f"width ~{1.0 / abs(alpha):.3g}; refine to h <= {0.2 / abs(alpha):.3g}",
             BoundaryLayerWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -405,7 +407,9 @@ def directional_stiffness(mesh: Mesh, i: int, j: int, half: str | None = None) -
 
 def _assemble_pullback(p, alpha, mesh, transported: bool, kind: str) -> AssembledSystem:
     _check_mesh(p, alpha, mesh)
-    _warn_boundary_layer(p, alpha, mesh)
+    # one frame deeper than assemble_direct's call: attributed to the caller
+    # of assemble_transformed or assemble_plain_mass
+    _warn_boundary_layer(p, alpha, mesh, stacklevel=4)
     w = coefficient_values(p, transported)
     wK, wM = _pencil_weights(alpha)
     K = affine_combination(mesh, w * wK)

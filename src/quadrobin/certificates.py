@@ -104,8 +104,12 @@ def z_value(p: QuadParams) -> float:
     den = z_denominator(p)
     if den == 0.0:
         raise DomainError("z is 0/0 at the square")
-    num = p.S * l_value(p) / (4.0 * math.sqrt(2.0) * p.c0) - 1.0
-    return num / den
+    return _z(p, l_value(p), den)
+
+
+def _z(p: QuadParams, lval: float, den: float) -> float:
+    """z from l(p) and z_denominator(p) already in hand."""
+    return (p.S * lval / (4.0 * math.sqrt(2.0) * p.c0) - 1.0) / den
 
 
 def g_alpha(alpha: float, S: float = 1.0) -> float:
@@ -138,8 +142,7 @@ def small_alpha_certificate(p: QuadParams, alpha: float) -> Certificate:
     if den < _MARGIN:
         cert.notes = "z undefined (0/0) at or numerically near the square"
         return cert
-    # z_value(p) from the l and z_denominator already in hand, same operations
-    z = (p.S * lval / (4.0 * math.sqrt(2.0) * p.c0) - 1.0) / den
+    z = _z(p, lval, den)
     cert.quantities["z"] = z
     cert.quantities["margin"] = z - g
     if z - g > _MARGIN:
@@ -150,9 +153,13 @@ def small_alpha_certificate(p: QuadParams, alpha: float) -> Certificate:
 def trial_one_certificate(p: QuadParams, alpha: float) -> Certificate:
     """Constant-trial certificate: fires when (alpha/2) l(p) < lambda(square).
 
-    (alpha/2) l(p) is an upper bound for the quadrilateral's eigenvalue (the
-    constant trial state in the pullback form), so beating the exact square
-    value certifies the comparison.  Equivalently l(p) > 2 lambda0 / alpha.
+    (alpha/2) l(p) is the Rayleigh quotient of the constant trial state in
+    the plain-mass pullback form (``assembly.assemble_plain_mass``), so it
+    bounds that pencil's lowest eigenvalue from above.  That pencil is the
+    quadrilateral's only when S1 = S; there beating the exact square value
+    certifies the comparison.  Off that slice the plain-mass eigenvalue can
+    lie on either side of the quadrilateral's, so the bound is not one for
+    the quadrilateral.  Equivalently l(p) > 2 lambda0 / alpha.
     """
     if alpha >= 0.0:
         raise DomainError(f"alpha must be negative, got {alpha}")

@@ -354,16 +354,6 @@ def pullback_inner_products(
     return PullbackCheck(lhs, rhs, edge_lhs, edge_rhs)
 
 
-def _sample_boundary(vertices: np.ndarray, per_edge: int) -> np.ndarray:
-    t = np.linspace(0.0, 1.0, per_edge, endpoint=False)
-    chunks = []
-    for k in range(len(vertices)):
-        a = vertices[k]
-        b = vertices[(k + 1) % len(vertices)]
-        chunks.append(a[None, :] + t[:, None] * (b - a)[None, :])
-    return np.concatenate(chunks, axis=0)
-
-
 # (rotation, boundary sample, quad edge) triples per array pass of the
 # square -> quad direction: 256 KiB per temporary array, whatever the sample
 # count; at 250 samples per edge a pass covers 8 rotations.
@@ -412,24 +402,6 @@ def _edge_pass(px, py, edges):
     np.square(dx, out=dx)
     dx += np.square(dy, out=dy)
     return hit, dx
-
-
-def _sq_dist_outside(px, py, polygon) -> np.ndarray:
-    """Squared distance from points to a polygon's boundary, 0 inside it.
-
-    ``polygon`` holds its n vertex rows, shape ``(n, 2)``; ``px``, ``py``
-    hold point coordinates of any one shape, which the result takes.  A
-    point inside the polygon (crossing-number test) counts 0.  All
-    (point, edge) pairs are one array pass (``_edge_pass``).
-    """
-    # edge k runs from vertex k to vertex k+1; the edge axis leads, so the
-    # points' last axis is the long inner loop of every array pass
-    n = len(polygon)
-    edges = _edges(polygon.tolist(), range(n), [*range(1, n), 0], px.ndim)
-    hit, d = _edge_pass(px, py, edges)
-    best = d.min(axis=0)
-    best[np.logical_xor.reduce(hit)] = 0.0
-    return best
 
 
 def _sq_dist_outside_box(uv: np.ndarray, h: float) -> np.ndarray:
@@ -509,11 +481,10 @@ def _rotation_bounds(square, quad, rotations: int, convex: bool):
       theta + pi/4 and ``_sq_dist_outside_box`` measures them.
     - square -> quad: the square turned by -theta against the fixed quad has
       the distances of the quad turned by theta against the fixed square.
-      The square's vertices turn by the rows ``to_x``, ``to_y``
-      (residues, 2) returned with ``lo`` and ``hi``, cached as
-      ``_turned_square``.  One array pass over the quad's 4 edges, plus its
-      diagonal from vertex 0 to vertex 2 when not ``convex``, gives every
-      squared distance and crossing-number hit that both bounds need.
+      The square's turned vertices are cached as ``_turned_square``.  One
+      array pass over the quad's 4 edges, plus its diagonal from vertex 0 to
+      vertex 2 when not ``convex``, gives every squared distance and
+      crossing-number hit that both bounds need.
 
     ``lo`` takes the square's vertices as samples.  For ``hi`` the quad is
     the union of convex pieces, itself when ``convex``, else its upper and
@@ -525,8 +496,7 @@ def _rotation_bounds(square, quad, rotations: int, convex: bool):
     quad ``hi`` is ``lo``.
     """
     turn = _quarter_turn_residues(rotations)
-    to_x, to_y = turn[1]
-    n = len(to_x)
+    n = turn.shape[2]
     r = float(square[2, 0])
     # (vertex, residue) arrays throughout: reducing over the short leading
     # axis is an elementwise pass over rows
@@ -539,30 +509,40 @@ def _rotation_bounds(square, quad, rotations: int, convex: bool):
     np.putmask(back, np.logical_xor.reduce(hit), 0.0)
     lo = np.maximum(sq, back).max(axis=0)
     if convex:
-        return to_x, to_y, lo, lo
+        return lo, lo
     pieces = np.minimum(d[:2], d[2:4])
     np.minimum(pieces, d[4], out=pieces)
     np.putmask(pieces, hit[:2] ^ hit[2:4], 0.0)
     edge = np.maximum(pieces, pieces[:, [1, 2, 3, 0]]).min(axis=0)
-    return to_x, to_y, lo, np.maximum(sq, edge).max(axis=0)
+    return lo, np.maximum(sq, edge).max(axis=0)
 
 
-def _sampled_search(to_x, to_y, lo, square, quad, samples_per_edge: int) -> float:
+def _sampled_search(px, py, lo, quad, samples_per_edge: int) -> float:
     """min over the given rotations of max(lo, sampled square -> quad), squared.
 
-    Samples ``samples_per_edge`` points per square edge, vertices included,
-    against the possibly non-convex quad; ``lo`` already holds the vertices'
+    ``px``, ``py`` (4, rotations) hold the turned square's vertices, rows of
+    ``_turned_square``.  Edge k's samples are the ``samples_per_edge`` points
+    v_k + (j / samples_per_edge) (v_{k+1} - v_k), vertices included, measured
+    against the possibly non-convex quad by the vertex pass's ``_edge_pass``
+    and reduced as it reduces them; ``lo`` already holds the vertices'
     values.  Rotations are evaluated as arrays, in blocks of about 32k
     (rotation, sample, quad edge) triples, so the temporaries stay small.
     """
-    samples = _sample_boundary(square, samples_per_edge).T
+    t = np.linspace(0.0, 1.0, samples_per_edge, endpoint=False)
+    edges = _edges(quad.tolist(), _EDGE_START[:4], _EDGE_END[:4], 3)
+    # (rotation, square edge, sample) points: the samples are the long last axis
+    ax, ay = px.T[:, :, None], py.T[:, :, None]
+    abx, aby = ax[:, [1, 2, 3, 0]] - ax, ay[:, [1, 2, 3, 0]] - ay
     n = len(lo)
-    block = min(n, max(1, _BLOCK_POINTS // len(quad) // samples.shape[1]))
+    # each rotation measures 4 * samples_per_edge points against 4 quad edges
+    block = min(n, max(1, _BLOCK_POINTS // (16 * samples_per_edge)))
     best = np.inf
     for start in range(0, n, block):
         rows = slice(start, start + block)
-        back = _sq_dist_outside(to_x[rows] @ samples, to_y[rows] @ samples, quad)
-        best = min(best, np.maximum(lo[rows], back.max(axis=1)).min())
+        hit, d = _edge_pass(ax[rows] + t * abx[rows], ay[rows] + t * aby[rows], edges)
+        back = d.min(axis=0)
+        np.putmask(back, np.logical_xor.reduce(hit), 0.0)
+        best = min(best, np.maximum(lo[rows], back.max(axis=(1, 2))).min())
     return best
 
 
@@ -583,8 +563,9 @@ def hausdorff_distance_to_square(
       along each quad edge, so its supremum sits at one of the 4 rotated
       vertices, and it is closed-form there (the square turned by pi/4 is
       an axis-aligned box);
-    - square -> quad is the maximum over ``samples_per_edge`` points per
-      square edge (vertices included) against the possibly non-convex quad.
+    - square -> quad is the maximum over ``samples_per_edge`` points along
+      each edge of the square turned by -theta (vertices included), against
+      the possibly non-convex quad.
 
     The vertices, centroid and convexity are Python floats; each rotation is
     then bounded from vertices alone, both bounds from one array pass over
@@ -616,11 +597,10 @@ def hausdorff_distance_to_square(
     cy = sum((y0 + y1) * t for (_, y0), (_, y1), t in zip(v, w, cross)) / area6
     quad = np.array([[x - cx, y - cy] for x, y in v])
     square = reference_square_vertices(p.S)
-    to_x, to_y, lo, hi = _rotation_bounds(square, quad, rotations, is_convex(p))
+    lo, hi = _rotation_bounds(square, quad, rotations, is_convex(p))
     best = hi.min()
     rows = np.flatnonzero(lo < best)
     if rows.size:
-        best = min(
-            best, _sampled_search(to_x[rows], to_y[rows], lo[rows], square, quad, samples_per_edge)
-        )
+        px, py = _turned_square(rotations, float(square[2, 0]))[:, :, rows]
+        best = min(best, _sampled_search(px, py, lo[rows], quad, samples_per_edge))
     return float(np.sqrt(best))

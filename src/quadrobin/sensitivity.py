@@ -38,7 +38,7 @@ import numpy as np
 
 from ._records import Record
 from .assembly import _pencil_weights, affine_combination, affine_images
-from .coefficients import PARAMS, first_tables, second_tables
+from .coefficients import PARAMS, _tables
 from .errors import ConditioningError, ContractError, DomainError
 from .geometry import QuadParams
 from .mesh import Mesh, build_mesh
@@ -93,8 +93,7 @@ class Workspace:
             raise ConditioningError(
                 f"spectral gap {gap:.3e} too small for derivative solves", gap=gap
             )
-        self._d1 = first_tables(self.p)
-        self._d2 = second_tables(self.p)
+        _, self._d1, self._d2 = _tables(self.p)
         self._wK, self._wM = _pencil_weights(self.alpha)
         self._Y = affine_images(self.mesh, self.psi)
         self._q = self._Y @ self.psi

@@ -46,6 +46,7 @@ not used as an acceptance criterion.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -53,6 +54,7 @@ import numpy as np
 
 from .assembly import (
     AssembledSystem,
+    BoundaryLayerWarning,
     assemble_direct,
     assemble_plain_mass,
     assemble_transformed,
@@ -319,7 +321,12 @@ def solve_quad(
         vals, vecs = _dense_lowest(system)
         pair = _checked_pair(system, tol, vals[0], vecs[:, 0], 1, "dense")
     else:
-        vals, _ = _dense_lowest(assemble(p, alpha, build_mesh(_COARSE_LEVEL, p.S)))
+        # the companion only anchors the shift: the caller chose the solve
+        # mesh, whose own assembly above already warned if it is too coarse
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryLayerWarning)
+            companion = assemble(p, alpha, build_mesh(_COARSE_LEVEL, p.S))
+        vals, _ = _dense_lowest(companion)
         pair = solve_lowest(system, shift=safe_shift(p, alpha, float(vals[0])), tol=tol)
     gap = float(vals[1] - vals[0]) if len(vals) > 1 else None
     return EigenState(

@@ -140,12 +140,16 @@ def test_lowest_eigenvalue_transformed_equals_direct(rng, meshes):
 
 def test_plain_mass_form_is_a_different_pencil_off_balance(meshes):
     # the plain-mass normalisation hides a weight jump across y = 0; away
-    # from S1 = S its lowest eigenvalue sits strictly below the true one
+    # from S1 = S its lowest eigenvalue differs from the true one, on either side
     mesh = meshes(12)
     p = QuadParams(0.3, -0.2, 1.3, 0.55)
     lam_plain = solve_quad(p, -1.0, mesh, form="plain").lambda_h
     lam_true = solve_quad(p, -1.0, mesh, form="direct").lambda_h
     assert lam_plain < lam_true - 0.05 * abs(lam_true)
+    p_above = QuadParams(0.0, -0.13, 0.74, 0.75)
+    lam_plain = solve_quad(p_above, -1.0, mesh, form="plain").lambda_h
+    lam_true = solve_quad(p_above, -1.0, mesh, form="direct").lambda_h
+    assert lam_plain > lam_true + 1e-3 * abs(lam_true)
     # ... but coincides on the S1 = S slice
     p_bal = QuadParams(0.4, -0.8, 1.5, 1.0)
     lam_plain = solve_quad(p_bal, -1.0, mesh, form="plain").lambda_h
@@ -164,6 +168,24 @@ def test_boundary_layer_warning(meshes):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assemble_transformed(QuadParams.square(), -1.0, meshes(8))
+
+
+@pytest.mark.parametrize("assemble", [assemble_transformed, assemble_plain_mass, assemble_direct])
+def test_boundary_layer_warning_names_the_callers_line(assemble, meshes):
+    with pytest.warns(BoundaryLayerWarning) as caught:
+        assemble(QuadParams.square(), -40.0, meshes(8))
+    assert [w.filename for w in caught] == [__file__]
+
+
+def test_solve_quad_warns_only_about_the_callers_mesh(meshes):
+    # mesh 32 is above the dense level, so a level-8 companion anchors the
+    # shift; its boundary layer is not the caller's to resolve
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve_quad(QuadParams.square(), -24.0, meshes(32))
+    assert len(caught) == 1
+    assert issubclass(caught[0].category, BoundaryLayerWarning)
+    assert "h=0.0442 " in str(caught[0].message)
 
 
 def test_export_coo(tmp_path, meshes):

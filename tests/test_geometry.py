@@ -453,9 +453,9 @@ def sampled_rotations(monkeypatch):
     counts = []
     sample_pass = geometry._sampled_search
 
-    def counting(to_x, to_y, lo, *args):
+    def counting(px, py, lo, *args):
         counts.append(len(lo))
-        return sample_pass(to_x, to_y, lo, *args)
+        return sample_pass(px, py, lo, *args)
 
     monkeypatch.setattr(geometry, "_sampled_search", counting)
     return counts
@@ -492,7 +492,8 @@ def test_vertex_bounds_enclose_each_sampled_rotation():
     square_samples = _sample_boundary(square, samples_per_edge)
     for p in shapes:
         quad = quad_vertices(p) - polygon_centroid(quad_vertices(p))
-        to_x, _, lo, hi = geometry._rotation_bounds(square, quad, rotations, is_convex(p))
+        lo, hi = geometry._rotation_bounds(square, quad, rotations, is_convex(p))
+        to_x = geometry._quarter_turn_residues(rotations)[1, 0]
         angles = np.arctan2(to_x[:, 1], to_x[:, 0])
         quad_samples = _sample_boundary(quad, samples_per_edge)
         for theta, lo_t, hi_t in zip(angles, np.sqrt(lo), np.sqrt(hi)):
@@ -513,9 +514,10 @@ def test_vertex_bounds_enclose_each_sampled_rotation():
 def test_rotation_bounds_evaluate_one_angle_per_quarter_turn_residue(rotations, residues):
     square = reference_square_vertices()
     quad = quad_vertices(_SAMPLED_SHAPE) - polygon_centroid(quad_vertices(_SAMPLED_SHAPE))
+    to_x, to_y = geometry._quarter_turn_residues(rotations)[1]
+    assert to_x.shape == to_y.shape == (residues, 2)
     for convex in (True, False):
-        to_x, to_y, lo, hi = geometry._rotation_bounds(square, quad, rotations, convex)
-        assert to_x.shape == to_y.shape == (residues, 2)
+        lo, hi = geometry._rotation_bounds(square, quad, rotations, convex)
         assert lo.shape == hi.shape == (residues,)
     angles = np.arctan2(to_x[:, 1], to_x[:, 0])
     assert np.all((0.0 <= angles) & (angles < 0.5 * math.pi))
@@ -548,7 +550,7 @@ def test_closed_form_box_distance_matches_the_polygon_kernel(S):
     # turned by pi/4 the square is the box |u|, |v| <= sqrt(S/2)
     c = math.cos(0.25 * math.pi)
     got = geometry._sq_dist_outside_box(np.stack([c * x - c * y, c * x + c * y]), math.sqrt(S / 2))
-    want = geometry._sq_dist_outside(x, y, square)
+    want = _two_call_sq_dist_outside(x, y, square)
     assert np.all(got[:300] == 0.0) and np.all(want[:300] == 0.0)
     assert np.all(got[300:600] > 0.0)
     assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-28 * S)
@@ -649,7 +651,8 @@ def test_fused_vertex_bounds_match_the_two_call_composition(rotations):
         square = reference_square_vertices(p.S)
         quad = quad_vertices(p) - polygon_centroid(quad_vertices(p))
         for convex in {is_convex(p), False}:
-            to_x, to_y, lo, hi = geometry._rotation_bounds(square, quad, rotations, convex)
+            lo, hi = geometry._rotation_bounds(square, quad, rotations, convex)
+            to_x, to_y = geometry._quarter_turn_residues(rotations)[1]
             want_lo, want_hi = _two_call_bounds(square, quad, to_x, to_y, convex)
             assert np.all(np.abs(lo - want_lo) <= 1e-12 * np.maximum(1.0, want_lo)), p
             assert np.all(np.abs(hi - want_hi) <= 1e-12 * np.maximum(1.0, want_hi)), p
