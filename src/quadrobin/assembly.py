@@ -3,14 +3,17 @@
 The pullback pencil is affine in the 12 coefficients of ``coefficients``.
 ``affine_blocks`` builds their unit blocks on one CSR pattern once per mesh
 and caches them on it; every pullback matrix (both pencils, the boundary
-masses, all parameter derivatives) is a weighted sum of them.  A mesh never
-changes, and ``build_mesh`` returns one mesh per recent (level, S), so each
-key's blocks are built once.  A ``build_mesh`` mesh gets the pattern and
-slots from (iu, iv) index arithmetic and each triangle's local matrices from
-one of four fixed cell kinds.  Every other mesh (``refine_mesh`` output, a
+masses, all parameter derivatives) is a weighted sum of them.  The blocks
+are coded: a small table of the distinct 12-vectors of block values and one
+code per pattern slot, so a weighted sum is one gather, (table @ w)[code].
+A mesh never changes, and ``build_mesh`` returns one mesh per recent
+(level, S), so each key's blocks are built once.  A ``build_mesh`` mesh gets
+the pattern, the slots and the codes from (iu, iv) index arithmetic and each
+triangle's local matrices from one of four fixed cell kinds, so its table
+has 28 rows (26 at level 2).  Every other mesh (``refine_mesh`` output, a
 hand-made mesh or a ``dataclasses.replace`` copy) takes the generic builder,
-which sorts all pattern keys and computes each triangle's geometry; it is
-also the stencil's test oracle.
+which sorts all pattern keys and computes each triangle's geometry, with
+up to one table row per slot; it is also the stencil's test oracle.
 
 Three assemblies of the same spectral problem are provided.
 
@@ -193,29 +196,23 @@ def _boundary_from(nodes, bedge_nodes, n, edge_weights: np.ndarray) -> sp.csr_ma
 class _AffineBlocks:
     """Unit blocks of the pullback form on one shared CSR pattern of a mesh.
 
-    halves[j] = (slots, E): the pattern slots touched by half j (upper, then
-    lower) and, on those slots, E[r] = the block of coefficient 6j + r, r < 4.
-    edges[s] = (slots, B): the block of coefficient _EDGE_W[s], the unit
-    boundary mass of edge label s (``coefficients`` gives the order).  Storing
-    each half on its own slots (about half the pattern) keeps an entry to
-    ~10 MiB at mesh 128, growing with the square of the level (~40 MiB at
-    256).  A build_mesh mesh gets them from the cell stencil
-    (``_stencil_pattern``), any other mesh from the sorted builder
-    (``_sorted_pattern``); the two agree in pattern and slots exactly and in
-    values to roundoff.  Every array is read-only, like the mesh's own.
+    The blocks are coded: ``table`` holds their distinct 12-vectors of values,
+    pairwise distinct bit for bit, and ``code[s]`` is the row of pattern slot
+    s, so block b is table[code[s], b] at slot s (``coefficients`` gives the
+    order of b).  On a build_mesh mesh every cell is a translate of one
+    stencil, so the 230,145 slots of mesh 128 carry 28 distinct rows, like
+    those of every level from 3 to 256 measured, and the pattern and the
+    codes make up nearly all of its ~2 MB (~8 MB at mesh 256).  A build_mesh
+    mesh gets them from the cell stencil (``_stencil_pattern``), any other
+    mesh from the sorted builder (``_sorted_pattern``), with up to one row per
+    slot; the two agree in pattern exactly and in decoded blocks to roundoff.
+    Every array is read-only, like the mesh's own.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    halves: tuple
-    edges: tuple
-
-
-def _on_slots(slot: np.ndarray, nnz: int):
-    """Distinct slots of ``slot`` (sorted) and each entry's position among them."""
-    used = np.zeros(nnz, dtype=bool)
-    used[slot] = True
-    return np.flatnonzero(used), (np.cumsum(used) - 1)[slot]
+    table: np.ndarray
+    code: np.ndarray
 
 
 def _unit_locals(nodes: np.ndarray, triangles: np.ndarray):
@@ -231,7 +228,8 @@ def _unit_locals(nodes: np.ndarray, triangles: np.ndarray):
 
 
 def _sorted_pattern(mesh: Mesh):
-    """Any mesh: the pattern by sorting all 9 keys per triangle, geometry per triangle."""
+    """Any mesh: the pattern by sorting all 9 keys per triangle, geometry per
+    triangle and boundary segment, and each slot a class of its own."""
     n, tris = mesh.dof_count, mesh.triangles
     keys = (np.repeat(tris, 3, axis=1) * n + np.tile(tris, (1, 3))).ravel()
     pattern, slot = np.unique(keys, return_inverse=True)
@@ -239,7 +237,10 @@ def _sorted_pattern(mesh: Mesh):
     indptr = np.searchsorted(pattern, np.arange(n + 1) * n).astype(np.int32)
     indices = (pattern % n).astype(np.int32)
     slot = slot.reshape(len(tris), 9)
-    return indptr, indices, slot, lambda sel: _unit_locals(mesh.nodes, tris[sel])
+    classes = np.arange(len(indices), dtype=np.int32)
+    ends = mesh.nodes[mesh.bedge_nodes]
+    lengths = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
+    return indptr, indices, slot, classes, lambda sel: _unit_locals(mesh.nodes, tris[sel]), lengths
 
 
 def _cell_slots() -> np.ndarray:
@@ -257,13 +258,10 @@ def _cell_slots() -> np.ndarray:
     return k.ravel()
 
 
-_CELL_SLOTS = _cell_slots()
-
-
 def _stencil_pattern(mesh: Mesh):
-    """A build_mesh mesh: pattern and slots by (iu, iv) arithmetic; every cell
-    is a translate of the one at the origin, so each of the 4 triangle kinds
-    has fixed local matrices."""
+    """A build_mesh mesh: pattern, slots and slot classes by (iu, iv)
+    arithmetic; every cell is a translate of the one at the origin, so each
+    of the 4 triangle kinds has fixed local matrices."""
     n = mesh.refinement_level
     nc = (n + 1) ** 2
     c = np.arange(nc, dtype=np.int32)
@@ -292,44 +290,76 @@ def _stencil_pattern(mesh: Mesh):
     row_slot[nc:, :5] = indptr[nc:-1, None] + np.arange(5, dtype=np.int32)
     tri = mesh.triangles.reshape(n * n, 12)
     rows = row_slot[np.column_stack([tri[:, 0:12:3], tri[:, 2]])].reshape(n * n, 45)
-    slot = rows[:, _CELL_SLOTS].reshape(-1, 9)
+    slot = rows[:, _cell_slots()].reshape(-1, 9)
+
+    # A slot's values depend only on the triangles and boundary segments that
+    # meet at it, so on its candidate and its row's class.  A corner row's
+    # class is where it lies on each grid axis (low end, inside, high end),
+    # which fixes the cells and segments around it, and its offset
+    # d = iu + iv - n from the line y = 0 clipped to [-1, 1], which fixes the
+    # half of each triangle at it: triangle t of cell (iu', iv') is upper where
+    # iu' + iv' - n + (0, 1, 1, 0)[t] >= 0, and that sum is d - 1 or d on
+    # the 8 triangles at the corner.  A centre row's class is its cell's
+    # offset clipped to [-2, 0], after the 27 corner classes.
+    place = (lo_u.astype(np.int32) + ~hi_u) * 3 + lo_v + ~hi_v
+    corner_class = place * 3 + np.clip(iu + iv - n, -1, 1) + 1
+    centre_class = 29 + np.clip(centre // n + centre % n - n, -2, 0)
+    classes = np.concatenate(
+        [
+            (corner_class[:, None] * 9 + np.arange(9, dtype=np.int32))[present],
+            (centre_class[:, None] * 9 + np.arange(5, dtype=np.int32)).ravel(),
+        ]
+    )
 
     qu, qv, tris, *_ = _build_layout(1)  # the cell at the origin
+    nodes = _label_nodes(qu, qv, n, mesh.S)
     # kinds[q, t]: block q's 3x3 local matrix on cell triangle t
-    kinds = np.stack(list(_unit_locals(_label_nodes(qu, qv, n, mesh.S), tris)))
-    kind = np.tile(np.arange(4, dtype=np.int8), n * n)
-
-    def locals_of(sel):
-        of_sel = kind[sel]
-        return (np.take(E, of_sel, axis=0) for E in kinds)
-
-    return indptr, indices, slot, locals_of
+    kinds = np.stack(list(_unit_locals(nodes, tris)))
+    # every boundary segment is a cell side, like the one from corner 0 to 1
+    lengths = np.full(len(mesh.bedge_nodes), np.linalg.norm(nodes[1] - nodes[0]))
+    # triangle i of a build_mesh mesh is cell triangle i % 4
+    return indptr, indices, slot, classes, lambda sel: kinds[:, sel % 4], lengths
 
 
 def _build_blocks(mesh: Mesh, build) -> _AffineBlocks:
-    """The blocks of ``mesh`` from pattern builder ``build``, all arrays read-only."""
-    indptr, indices, slot, locals_of = build(mesh)
+    """The coded blocks of ``mesh`` from pattern builder ``build``, all arrays
+    read-only.  The builder puts the slots into classes whose members have
+    equal values; each class is assembled on one member only, then rows that
+    agree bit for bit merge."""
+    indptr, indices, slot, classes, locals_of, lengths = build(mesh)
     nnz = len(indices)
-    halves = []
-    for sel in (mesh.tri_upper, ~mesh.tri_upper):
-        slots, where = _on_slots(slot[sel].ravel(), nnz)
-        E = np.empty((4, len(slots)))
+    member = np.full(classes.max() + 1, -1)
+    member[classes] = np.arange(nnz)  # one slot of each class, whichever
+    assembled = member[member >= 0]
+    rows = len(assembled)
+    row = np.full(nnz, -1, dtype=np.int32)  # an assembled slot's table row
+    row[assembled] = np.arange(rows, dtype=np.int32)
+    table = np.zeros((rows, 12))
+    at = row[slot]
+    for j, half in enumerate((mesh.tri_upper, ~mesh.tri_upper)):
+        sel = np.flatnonzero(half & (at >= 0).any(axis=1))
+        where = at[sel]
+        hit = where >= 0
         for q, local in enumerate(locals_of(sel)):
-            E[q] = np.bincount(where, local.ravel(), len(slots))
-        halves.append((slots, E))
+            table[:, 6 * j + q] = np.bincount(where[hit], local.reshape(-1, 9)[hit], rows)
+    del at
     n, ends = mesh.dof_count, mesh.bedge_nodes
     pattern = np.repeat(np.arange(n), np.diff(indptr)) * n + indices  # sorted row * n + col
-    edge_slot = np.searchsorted(pattern, np.repeat(ends, 2, axis=1) * n + np.tile(ends, (1, 2)))
-    lengths = np.linalg.norm(mesh.nodes[ends[:, 1]] - mesh.nodes[ends[:, 0]], axis=1)
-    edges = []
-    for s in range(4):
-        on = mesh.bedge_side == s
-        slots, where = _on_slots(edge_slot[on].ravel(), nnz)
-        local = lengths[on, None, None] * _EDGE_PATTERN
-        edges.append((slots, np.bincount(where, local.ravel(), len(slots))))
-    for array in (indptr, indices, *(a for pair in halves + edges for a in pair)):
+    edge_at = row[np.searchsorted(pattern, np.repeat(ends, 2, axis=1) * n + np.tile(ends, (1, 2)))]
+    del pattern
+    local = lengths[:, None] * _EDGE_PATTERN.ravel()
+    for s, b in enumerate(_EDGE_W):
+        on = (mesh.bedge_side == s)[:, None] & (edge_at >= 0)
+        table[:, b] = np.bincount(edge_at[on], local[on], rows)
+    _, first, merged = np.unique(
+        table.view(np.dtype((np.void, table.itemsize * 12))).ravel(),
+        return_index=True,
+        return_inverse=True,
+    )
+    table, code = table[first], merged.astype(np.int32)[row[member[classes]]]
+    for array in (indptr, indices, table, code):
         array.setflags(write=False)  # an in-place edit would corrupt every matrix
-    return _AffineBlocks(indptr, indices, tuple(halves), tuple(edges))
+    return _AffineBlocks(indptr, indices, table, code)
 
 
 def affine_blocks(mesh: Mesh) -> _AffineBlocks:
@@ -346,30 +376,23 @@ def affine_combination(mesh: Mesh, w: np.ndarray) -> sp.csr_matrix:
     import scipy.sparse as sp
 
     blocks = affine_blocks(mesh)
-    data = np.zeros(len(blocks.indices))
-    for j, (slots, E) in enumerate(blocks.halves):
-        data[slots] += E.T @ w[6 * j : 6 * j + 4]
-    for (slots, B), wb in zip(blocks.edges, w[list(_EDGE_W)]):
-        if wb != 0.0:
-            data[slots] += wb * B
     n = mesh.dof_count
+    data = (blocks.table @ w)[blocks.code]
     return sp.csr_matrix((data, blocks.indices, blocks.indptr), shape=(n, n))
 
 
 def affine_images(mesh: Mesh, x: np.ndarray) -> np.ndarray:
     """Y[b] = (block b) @ x for all 12 blocks, (12, n), in ``affine_combination``'s
-    order: any combination's product is then w @ Y, with no matrix built."""
+    order: any combination's product is then w @ Y, with no matrix built.
+
+    One sparse product: row i of the (n, rows) matrix with x[col] at column
+    code[s] for each slot s of row i, times the table (duplicate codes sum)."""
+    import scipy.sparse as sp
+
     blocks = affine_blocks(mesh)
-    n = mesh.dof_count
-    rows = np.repeat(np.arange(n), np.diff(blocks.indptr))
-    Y = np.empty((12, n))
-    for j, (slots, E) in enumerate(blocks.halves):
-        r, xc = rows[slots], x[blocks.indices[slots]]
-        for q in range(4):
-            Y[6 * j + q] = np.bincount(r, E[q] * xc, n)
-    for (slots, B), b in zip(blocks.edges, _EDGE_W):
-        Y[b] = np.bincount(rows[slots], B * x[blocks.indices[slots]], n)
-    return Y
+    shape = (mesh.dof_count, len(blocks.table))
+    codes = sp.csr_matrix((x[blocks.indices], blocks.code, blocks.indptr), shape=shape)
+    return (codes @ blocks.table).T
 
 
 def _pencil_weights(alpha: float) -> tuple[np.ndarray, np.ndarray]:

@@ -55,6 +55,7 @@ import numpy as np
 from .assembly import (
     AssembledSystem,
     BoundaryLayerWarning,
+    _warn_boundary_layer,
     assemble_direct,
     assemble_plain_mass,
     assemble_transformed,
@@ -209,11 +210,17 @@ def _dense_lowest(system: AssembledSystem, k: int = 2):
     return vals, vecs
 
 
+def _inf_norm(A: sp.csr_matrix) -> float:
+    """max_i sum_j |A_ij|, summed over A's CSR rows in place: no copy of A."""
+    starts = A.indptr[:-1][np.diff(A.indptr) > 0]  # an empty row sums to 0
+    return float(np.add.reduceat(np.abs(A.data), starts).max()) if len(starts) else 0.0
+
+
 def _checked_pair(system, tol, lam, v, iterations, method, shift=None, solves=0) -> EigenPair:
     """The M-normalised pair, if ||(K - lam M) v|| <= tol * ||K||_inf holds;
     otherwise EigenSolveError with the residual, its target and lam."""
     K, M = system.stiffness_plus_boundary, system.mass
-    target = tol * float(np.abs(K).sum(axis=1).max())
+    target = tol * _inf_norm(K)
     v = _normalize(v, M)
     res = float(np.linalg.norm(K @ v - lam * (M @ v)))
     if not res <= target:  # a NaN residual fails too
@@ -283,6 +290,7 @@ def solve_lowest(
             continue
         if below == 0:
             break
+        del lu  # a rejected factor is not kept through the next one
         sigma = 2.5 * sigma - 1.0
     else:
         raise EigenSolveError(
@@ -291,6 +299,7 @@ def solve_lowest(
         )
 
     v, solves = _lanczos(K, M, lu)
+    del lu  # the factor, and the L and U copies of its inertia count, before the checks
     lam = rayleigh(system, v)
     return _checked_pair(system, tol, lam, v, attempt + 1, "lanczos-shift-invert", sigma, solves)
 
@@ -315,17 +324,20 @@ def solve_quad(
     if isinstance(mesh, (int, np.integer)):
         mesh = build_mesh(int(mesh), p.S)
     assemble = _ASSEMBLERS[form]
-    system = assemble(p, alpha, mesh)
+    sparse = mesh.refinement_level > _COARSE_LEVEL
+    # the caller chose the solve mesh, so its boundary-layer warning is issued
+    # here, naming the caller's line; the companion only anchors the shift
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryLayerWarning)
+        system = assemble(p, alpha, mesh)
+        if sparse:
+            companion = assemble(p, alpha, build_mesh(_COARSE_LEVEL, p.S))
+    _warn_boundary_layer(p, alpha, mesh)
 
-    if mesh.refinement_level <= _COARSE_LEVEL:
+    if not sparse:
         vals, vecs = _dense_lowest(system)
         pair = _checked_pair(system, tol, vals[0], vecs[:, 0], 1, "dense")
     else:
-        # the companion only anchors the shift: the caller chose the solve
-        # mesh, whose own assembly above already warned if it is too coarse
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoundaryLayerWarning)
-            companion = assemble(p, alpha, build_mesh(_COARSE_LEVEL, p.S))
         vals, _ = _dense_lowest(companion)
         pair = solve_lowest(system, shift=safe_shift(p, alpha, float(vals[0])), tol=tol)
     gap = float(vals[1] - vals[0]) if len(vals) > 1 else None

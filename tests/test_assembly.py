@@ -188,6 +188,14 @@ def test_solve_quad_warns_only_about_the_callers_mesh(meshes):
     assert "h=0.0442 " in str(caught[0].message)
 
 
+@pytest.mark.parametrize("form", ["transformed", "direct"])
+def test_solve_quad_warning_names_its_callers_line(form):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve_quad(QuadParams.square(), -24.0, 32, form=form)
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_export_coo(tmp_path, meshes):
     sys = assemble_transformed(QuadParams.square(), -1.0, meshes(2))
     path = tmp_path / "matrix.txt"

@@ -40,17 +40,15 @@ def builds(monkeypatch):
 
 @pytest.mark.parametrize("n, S", _CASES)
 def test_stencil_matches_the_sorted_builder(builds, n, S):
-    stencil = affine_blocks(build_mesh(n, S))
-    generic = affine_blocks(_generic(n, S))
+    built, copy = build_mesh(n, S), _generic(n, S)
+    stencil, generic = affine_blocks(built), affine_blocks(copy)
     assert builds == ["_stencil_pattern", "_sorted_pattern"]
     assert np.array_equal(stencil.indptr, generic.indptr)
     assert np.array_equal(stencil.indices, generic.indices)
-    pairs = list(zip(stencil.halves + stencil.edges, generic.halves + generic.edges))
-    assert len(pairs) == 6
-    for (slots, E), (slots_g, E_g) in pairs:
-        assert np.array_equal(slots, slots_g)
-        for block, block_g in zip(np.atleast_2d(E), np.atleast_2d(E_g)):
-            assert np.abs(block - block_g).max() <= 1e-13 * np.abs(block_g).max()
+    for b in range(12):  # the decoded blocks
+        block = affine_combination(built, np.eye(12)[b]).data
+        block_g = affine_combination(copy, np.eye(12)[b]).data
+        assert np.abs(block - block_g).max() <= 1e-13 * np.abs(block_g).max()
 
 
 @pytest.mark.parametrize("n, S", _CASES)
@@ -84,13 +82,19 @@ def test_built_meshes_of_one_key_share_one_set_of_blocks(builds):
 
 
 def test_shared_blocks_are_read_only(builds):
-    blocks = affine_blocks(build_mesh(8))
-    arrays = [blocks.indptr, blocks.indices, *(a for pair in blocks.halves + blocks.edges for a in pair)]
-    assert len(arrays) == 14
+    arrays = list(vars(affine_blocks(build_mesh(8))).values())
+    assert len(arrays) == 4  # indptr, indices, table, code
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = a[0]
+
+
+def test_level_128_blocks_are_a_small_table_of_distinct_rows_and_a_code_per_slot():
+    blocks = affine_blocks(build_mesh(128))
+    assert sum(a.nbytes for a in vars(blocks).values()) <= 2.5e6
+    assert len(blocks.code) == len(blocks.indices) == 230_145
+    assert len({row.tobytes() for row in blocks.table}) == len(blocks.table)
 
 
 def _pencil(mesh):
