@@ -36,6 +36,14 @@ factorisations of both matrix kinds at meshes 64, 128 and 256), panels of
 2, 3 and 4 columns are within noise of each other and about 20-40% faster
 than the default; 6 and 8 fall in between.  2 was fastest most often.
 
+What a sparse solve holds: the pencil, the certified factor in SuperLU's
+own storage and, during Lanczos, a basis of at most 20 vectors.  The inertia
+count reads U's diagonal, for which scipy builds CSC copies of L and U
+(2 x 654,398 entries, about 16 MB, for the square at mesh 128).  The count
+empties both as soon as it is read, so the basis grows into their pages: a
+solve peaks at factor plus copies while it counts, not at factor plus
+copies plus basis.
+
 Everything is deterministic: Lanczos starts from the all-ones vector.  Note
 the discrete ground state of a consistent-mass P1 pencil is positive in all
 ordinary cases but may carry roundoff-scale negative wiggles next to a very
@@ -195,9 +203,22 @@ def _shifted(K, M, s: float) -> sp.csc_matrix:
 
 
 def _count_eigenvalues_below(K, M, sigma: float):
-    """Negative-pivot count of K - sigma M (its inertia) plus the factorisation."""
+    """Negative-pivot count of K - sigma M (its inertia) plus the factorisation.
+
+    Reading ``lu.U`` makes scipy build CSC copies of both L and U and cache
+    them on the factor.  Solves use SuperLU's own storage, never these
+    copies, so once the count is read both are emptied in place: their
+    entries are replaced by fresh empty arrays and their column pointers by
+    fresh zeros (a slice would be a view that keeps the old buffer alive).
+    The returned factor then holds only SuperLU's storage, and the Lanczos
+    basis grows into the freed pages.
+    """
     lu = _symmetric_lu(_shifted(K, M, sigma))
-    return int((lu.U.diagonal() < 0.0).sum()), lu
+    below = int((lu.U.diagonal() < 0.0).sum())
+    for cached in (lu.L, lu.U):
+        cached.data, cached.indices = np.empty(0, cached.dtype), np.empty(0, cached.indices.dtype)
+        cached.indptr = np.zeros(cached.shape[1] + 1, cached.indptr.dtype)
+    return below, lu
 
 
 def _dense_lowest(system: AssembledSystem, k: int = 2):
@@ -299,7 +320,7 @@ def solve_lowest(
         )
 
     v, solves = _lanczos(K, M, lu)
-    del lu  # the factor, and the L and U copies of its inertia count, before the checks
+    del lu  # the factor before the checks
     lam = rayleigh(system, v)
     return _checked_pair(system, tol, lam, v, attempt + 1, "lanczos-shift-invert", sigma, solves)
 

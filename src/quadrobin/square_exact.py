@@ -101,22 +101,48 @@ def _bisect_newton(func, dfunc, target, lo, hi, tol):
     return t
 
 
+# below this x, t tanh t and t tan t are t^2 (1 + O(t^2)) and their roots are
+# found from sqrt(x) to a relative accuracy (see _small_root)
+_SMALL_X = 1e-4
+
+
+def _small_root(func, dfunc, x: float) -> float:
+    """The root of func(t) = x for 0 < x < _SMALL_X, func(t) = t^2 (1 + O(t^2)).
+
+    Newton from sqrt(x), which is off by a relative O(x), until a step moves
+    t by no more than a few ulps.  The bracketed search stops on an absolute
+    residual and width instead, which at such x leave only a few digits.
+    """
+    t = math.sqrt(x)
+    for _ in range(8):
+        step = float((func(t) - x) / dfunc(t))
+        t -= step
+        if abs(step) <= 4.0 * np.finfo(float).eps * t:
+            break
+    return t
+
+
 def g_inverse(x: float) -> float:
     """The unique t >= 0 with t * tanh(t) = x.
 
-    Strictly increasing in x; |g(t) - x| <= 1e-13 * max(1, x).
+    Strictly increasing in x; |g(t) - x| <= 1e-13 * max(1, x), and below
+    x = 1e-4 t is found to a relative accuracy of a few ulps.
     """
     x = float(x)
     if x < 0.0:
         raise DomainError(f"g_inverse requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
+    if x < _SMALL_X:
+        return _small_root(g, g_prime, x)
     # g(t) >= t - 1 for t >= 0, so the root lies in [0, x + 2]
     return _bisect_newton(g, g_prime, x, 0.0, x + 2.0, _ROOT_TOL * max(1.0, x))
 
 
 def f_inverse(x: float) -> float:
     """The unique t in (0, pi/2) with t * tan(t) = x, for finite x > 0.
+
+    Below x = 1e-4 t is found to a relative accuracy of a few ulps.
 
     Above x ~ 2.6e16 the root lies beyond math.pi/2, the double nearest
     pi/2, so no double in (0, pi/2) is left to return: DomainError.
@@ -146,6 +172,9 @@ def _f_root(x: float) -> tuple[float, float]:
     x = float(x)
     if not 0.0 < x < math.inf:
         raise DomainError(f"f_inverse requires finite x > 0, got {x}")
+    if x < _SMALL_X:
+        t = _small_root(f, f_prime, x)
+        return t, _HALF_PI - t
     if x <= _POLE_X:
         # f(hi) > x: f blows up like (pi/2)/(pi/2 - t)
         hi = _HALF_PI - min(0.5, 0.25 * _HALF_PI / x)

@@ -157,6 +157,25 @@ def test_verify_theorem2(capsys):
     assert all(c["quad_below_square"] for c in result["fem_checks"])
 
 
+def test_verify_theorem2_compares_with_the_exact_square(capsys, monkeypatch):
+    calls = []
+    solve_quad = cli.solve_quad
+    monkeypatch.setattr(cli, "solve_quad", lambda *a, **k: calls.append(a) or solve_quad(*a, **k))
+    code, out, _ = run_cli(
+        capsys,
+        "verify-theorem2", "--a1", "0.5", "--c", "1", "--S1", "1", "--mesh", "16",
+    )
+    assert code == 0
+    checks = json.loads(out)["result"]["fem_checks"]
+    assert len(checks) == 2
+    # one finite-element solve per check, of Q; the square's value is exact
+    assert len(calls) == len(checks)
+    assert all(not p.is_square() for p, *_ in calls)
+    for check in checks:
+        assert check["lambda_square"] == solve_square(check["alpha"], 1.0).lambda1
+        assert check["lambda_quad"] < check["lambda_square"]
+
+
 def test_verify_theorem3(capsys):
     code, out, _ = run_cli(
         capsys, "verify-theorem3", "--alpha", "-0.5", "--trials", "4"

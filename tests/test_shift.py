@@ -8,7 +8,14 @@ import scipy.linalg as dla
 
 from quadrobin.assembly import assemble_transformed
 from quadrobin.geometry import QuadParams
-from quadrobin.solver import _count_eigenvalues_below, _dense_lowest, safe_shift, solve_lowest
+from quadrobin.solver import (
+    _count_eigenvalues_below,
+    _dense_lowest,
+    _shifted,
+    _symmetric_lu,
+    safe_shift,
+    solve_lowest,
+)
 
 from conftest import random_params
 
@@ -39,6 +46,23 @@ def test_inertia_count_matches_dense_eigenvalues(rng, meshes, alpha):
             for sigma in sigmas:
                 below, _ = _count_eigenvalues_below(K, M, sigma)
                 assert below == int((vals < sigma).sum()), (n, p, sigma)
+
+
+def test_inertia_count_releases_the_factor_copies(meshes):
+    p, alpha = QuadParams.square(), -8.0
+    system = assemble_transformed(p, alpha, meshes(32))
+    K, M = system.stiffness_plus_boundary, system.mass
+    sigma = safe_shift(p, alpha)
+    below, lu = _count_eigenvalues_below(K, M, sigma)
+    assert below == 0
+    # the L and U copies the count read are emptied, and scipy keeps (does
+    # not rebuild) them: a rebuild on every access would double the work
+    assert lu.L.nnz == lu.U.nnz == 0
+    assert lu.L is lu.L and lu.U is lu.U
+    # solves run on SuperLU's own storage, untouched by the release
+    b = M @ np.arange(1.0, K.shape[0] + 1.0)
+    fresh = _symmetric_lu(_shifted(K, M, sigma))
+    assert np.array_equal(lu.solve(b), fresh.solve(b))
 
 
 _SHARP_CORNERS = [

@@ -164,6 +164,31 @@ def test_closed_forms_near_the_pole_match_a_60_digit_root(x):
     assert abs(sol.t_star - float(t)) <= 2.3e-16
 
 
+@pytest.mark.parametrize("alpha", [s * a for a in (1e-300, 1e-20, 1e-12, 1e-8, 1e-6, 1e-4)
+                                   for s in (-1.0, 1.0)])
+def test_small_alpha_eigenvalue_matches_a_60_digit_root(alpha):
+    mp = pytest.importorskip("mpmath")
+
+    with mp.workdps(60):
+        # t = sqrt(x) u with u near 1, so the root is found to a relative accuracy
+        x = abs(mp.mpf(alpha)) * mp.sqrt(mp.mpf(1) / 2)
+        h = mp.tanh if alpha < 0.0 else mp.tan
+        u = mp.findroot(lambda u: mp.sqrt(x) * u * h(mp.sqrt(x) * u) / x - 1, 1)
+        lam = (-4 if alpha < 0.0 else 4) * x * u**2  # +-2 (t / L)^2, L^2 = 1/2
+    assert abs(solve_square(alpha).lambda1 / float(lam) - 1.0) <= 1e-14
+
+
+def test_moderate_alpha_eigenvalues_keep_their_bits():
+    frozen = {
+        -4.0: "-0x1.037774ce79d63p+5",
+        -1.0: "-0x1.d1abfb8d5113dp+1",
+        1.0: "0x1.22c3116e4edddp+1",
+        2.0: "0x1.e17914d2cc04ap+1",
+    }
+    for alpha, bits in frozen.items():
+        assert solve_square(alpha).lambda1 == float.fromhex(bits)
+
+
 def test_energy_identity_sweep():
     for alpha in np.concatenate([-np.logspace(-2, 1, 13)]):
         for S in (0.5, 1.0, 2.0):
