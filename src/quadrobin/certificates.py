@@ -26,7 +26,7 @@ import numpy as np
 
 from ._records import Record
 from .errors import DomainError
-from .geometry import EDGE_IDS, QuadParams, edge_length, interior_angles
+from .geometry import EDGE_IDS, QuadParams, _interior_angles, edge_length
 from .square_exact import solve_square
 
 __all__ = [
@@ -128,10 +128,14 @@ def small_alpha_certificate(p: QuadParams, alpha: float) -> Certificate:
     the gradient cost; g < z is exactly that comparison.  Near the square the
     0/0 ratio z is guarded and the verdict is inconclusive.
     """
+    return _small_alpha(p, alpha, l_value(p))
+
+
+def _small_alpha(p: QuadParams, alpha: float, lval: float) -> Certificate:
+    """small_alpha_certificate with l(p) already in hand."""
     if alpha >= 0.0:
         raise DomainError(f"alpha must be negative, got {alpha}")
     den = z_denominator(p)
-    lval = l_value(p)
     g = g_alpha(alpha, p.S)
     cert = Certificate(
         kind="small_alpha",
@@ -161,9 +165,13 @@ def trial_one_certificate(p: QuadParams, alpha: float) -> Certificate:
     lie on either side of the quadrilateral's, so the bound is not one for
     the quadrilateral.  Equivalently l(p) > 2 lambda0 / alpha.
     """
+    return _trial_one(p, alpha, l_value(p))
+
+
+def _trial_one(p: QuadParams, alpha: float, lval: float) -> Certificate:
+    """trial_one_certificate with l(p) already in hand."""
     if alpha >= 0.0:
         raise DomainError(f"alpha must be negative, got {alpha}")
-    lval = l_value(p)
     lam0 = solve_square(alpha, p.S).lambda1
     bound = 0.5 * alpha * lval
     margin = lam0 - bound
@@ -206,7 +214,7 @@ def large_alpha_certificate(p: QuadParams) -> Certificate:
     here; for them the square is known to be the maximiser by separation of
     variables, but that is not this certificate.
     """
-    angles = interior_angles(p).tolist()
+    angles = _interior_angles(p)
     constants = [asymptotic_constant(t) for t in angles]
     max_c = max(constants)
     cert = Certificate(
@@ -336,10 +344,14 @@ def hausdorff_threshold(alpha: float, S: float = 1.0) -> float:
 
 
 def certify_all(p: QuadParams, alpha: float) -> list[Certificate]:
-    """The three certificate kinds for (p, alpha), in a fixed order."""
+    """The three certificate kinds for (p, alpha), in a fixed order.
+
+    l(p) is evaluated once, for both alpha-dependent certificates.
+    """
+    lval = l_value(p)
     return [
-        small_alpha_certificate(p, alpha),
-        trial_one_certificate(p, alpha),
+        _small_alpha(p, alpha, lval),
+        _trial_one(p, alpha, lval),
         large_alpha_certificate(p),
     ]
 

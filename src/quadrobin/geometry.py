@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,6 +212,11 @@ def _corner_turns(p: QuadParams) -> list[tuple[float, float]]:
     return turns
 
 
+def _interior_angles(p: QuadParams) -> list[float]:
+    """``interior_angles`` as a list of Python floats."""
+    return [math.pi - math.atan2(cross, dot) for cross, dot in _corner_turns(p)]
+
+
 def interior_angles(p: QuadParams) -> np.ndarray:
     """Interior angles at the four vertices, in radians, each in (0, 2*pi).
 
@@ -218,7 +224,7 @@ def interior_angles(p: QuadParams) -> np.ndarray:
     reports its angle above pi).  Raises GeometryError for a collinear
     vertex triple, i.e. a degenerate quadrilateral.
     """
-    return np.array([math.pi - math.atan2(cross, dot) for cross, dot in _corner_turns(p)])
+    return np.array(_interior_angles(p))
 
 
 def is_convex(p: QuadParams) -> bool:
@@ -355,67 +361,86 @@ def pullback_inner_products(
 
 
 # (rotation, boundary sample, quad edge) triples per array pass of the
-# square -> quad direction: 256 KiB per temporary array, whatever the sample
-# count; at 250 samples per edge a pass covers 8 rotations.
+# sampled search: 512 KiB per complex temporary, whatever the sample count;
+# at 250 samples per edge a pass covers 8 rotations.
 _BLOCK_POINTS = 32_768
 
 
-def _edges(vertices, start, end, ndim: int) -> np.ndarray:
-    """The constants of ``_edge_pass`` for the edges ``start[k] -> end[k]``.
+def _sq_dist_outside_box(z: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Squared distance from the points z = u + iv to a box, 0 inside it.
 
-    ``vertices`` holds vertex rows of Python floats.  Returns the rows
-    (ax, ay, by, slope, abx / |ab|^2, aby / |ab|^2, abx, aby), shape
-    ``(8, edges) + (1,) * ndim``, so that they broadcast against points with
-    ``ndim`` axes.
+    The box is ``|u| <= h_u, |v| <= h_v``, its half-widths interleaved as
+    ``z.view(float)`` interleaves u and v: ``h`` is a float array that
+    broadcasts against that view, with the last axis twice that of ``z``.
+    The reference square ``|x| + |y| <= sqrt(S)`` turned by pi/4 is the box
+    ``h_u = h_v = sqrt(S/2)``; the segment from -l to l on the u-axis is the
+    box ``h_u = l, h_v = 0``.
     """
-    rows = []
-    for i, j in zip(start, end):
-        (ax, ay), (bx, by) = vertices[i], vertices[j]
-        abx, aby = bx - ax, by - ay
-        # a horizontal edge crosses no horizontal ray, so its slope is never read
-        slope = abx / aby if aby != 0.0 else 0.0
-        inv = 1.0 / (abx * abx + aby * aby)
-        rows.append((ax, ay, by, slope, abx * inv, aby * inv, abx, aby))
-    return np.array(rows).T.reshape((8, len(rows)) + (1,) * ndim)
-
-
-def _edge_pass(px, py, edges):
-    """Crossing-number hits and squared distances, per (edge, point).
-
-    ``edges`` comes from ``_edges``; ``px``, ``py`` hold point coordinates.
-    Returns ``hit``, whether the rightward ray from the point crosses the
-    edge, and the squared distance from the point to the edge, both of shape
-    ``(edges,) + px.shape``.  Every (point, edge) value comes from the same
-    elementwise operations, whatever the shapes.
-    """
-    ax, ay, by, slope, ux, uy, abx, aby = edges
-    dx, dy = px - ax, py - ay
-    hit = (py < ay) != (py < by)
-    hit &= dx < dy * slope
-    # t = clip((d . ab) / |ab|^2, 0, 1), then d - t ab is the offset from the
-    # nearest point of the edge
-    t = dx * ux
-    t += dy * uy
-    np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
-    dx -= t * abx
-    dy -= t * aby
-    np.square(dx, out=dx)
-    dx += np.square(dy, out=dy)
-    return hit, dx
-
-
-def _sq_dist_outside_box(uv: np.ndarray, h: float) -> np.ndarray:
-    """Squared distance from points to the box ``|u|, |v| <= h``, 0 inside it.
-
-    ``uv`` holds the u and v coordinates, shape ``(..., 2, m)``; the result
-    has shape ``(..., m)``.  The reference square ``|x| + |y| <= sqrt(S)``
-    turned by pi/4 is this box with ``h = sqrt(S/2)``.
-    """
-    d = np.abs(uv)
+    d = np.abs(z.view(np.float64))
     d -= h
     np.maximum(d, 0.0, out=d)
     d *= d
-    return d[..., 0, :] + d[..., 1, :]
+    return d[..., ::2] + d[..., 1::2]
+
+
+def _edge_pass(z, turn, start, box):
+    """The points z in the frames ``(turn, start, box)``: ``(w, d)``.
+
+    Each frame takes z to ``w = (z - start) turn``, and ``d`` is the squared
+    distance from w to the box ``box`` (``_sq_dist_outside_box``).  The
+    arguments broadcast against each other, and every value comes from the
+    same elementwise operations whatever the shapes.  For a quad edge
+    a -> b the frame is ``(conj(b - a) / |b - a|, (a + b) / 2)`` and the box
+    the segment of half-length ``|b - a| / 2``: one complex product gives
+    the position along the edge (``w.real``) and the signed offset from its
+    line (``w.imag``), negative to the right of the edge, which is the
+    inside of the clockwise quad.
+    """
+    w = z - start
+    w *= turn
+    return w, _sq_dist_outside_box(w, box)
+
+
+# the quad's edges 0 -> 1, 2 -> 3, 1 -> 2, 3 -> 0, so the upper triangle's two
+# quad edges are rows 0 and 2 and the lower's rows 1 and 3, then the diagonal
+# 0 -> 2 on which the triangles meet
+_EDGE_START = (0, 2, 1, 3, 0)
+_EDGE_END = (1, 3, 2, 0, 2)
+# the turns at vertices 1, 2, 3, 0 as (edge in, edge out) rows
+_CORNERS = ((0, 2), (2, 1), (1, 3), (3, 0))
+# per triangle, upper then lower: whether it lies below the diagonal
+_BELOW_DIAGONAL = np.array([False, True]).reshape(2, 1, 1)
+
+
+def _quad_frames(q: list, r: float) -> tuple[np.ndarray, bool]:
+    """The frames of ``_edge_pass`` for the centred quad, and its convexity.
+
+    ``q`` holds the quad's vertices as Python complex numbers, in the order
+    of ``quad_vertices``; ``r`` is the square's circumradius.  Returns the
+    complex array (6, 6) whose row k holds four turns, the start and the
+    box half-width of frame k.  Row 0 measures the quad's 4 vertices,
+    turned by a point of the unit circle, against the square turned by
+    pi/4, the box ``|u|, |v| <= r / sqrt(2)``.  Rows 1-5 measure points
+    against the quad edges of ``_EDGE_START`` / ``_EDGE_END``, repeating
+    their turn 4 times.
+
+    The quad is convex when, at every vertex, the sine of the turn from the
+    edge in to the edge out, ``(turn_in * conj(turn_out)).imag``, lies below
+    -1e-14: a clockwise turn, with the margin ``is_convex`` puts on
+    collinear triples.  A quad that fails it takes the non-convex path,
+    which is exact for convex quads too.
+    """
+    h = r / math.sqrt(2.0)
+    rows = q + [0.0, h]
+    turns = []
+    for i, j in zip(_EDGE_START, _EDGE_END):
+        a, b = q[i], q[j]
+        length = abs(b - a)
+        turn = (b - a).conjugate() / length
+        turns.append(turn)
+        rows += [turn, turn, turn, turn, 0.5 * (a + b), 0.5 * length]
+    convex = all((turns[i] * turns[j].conjugate()).imag < -1e-14 for i, j in _CORNERS)
+    return np.array(rows, complex).reshape(6, 6), convex
 
 
 @functools.lru_cache(maxsize=8)
@@ -444,26 +469,60 @@ def _quarter_turn_residues(rotations: int):
 
 
 @functools.lru_cache(maxsize=8)
-def _turned_square(rotations: int, r: float):
-    """The vertices of the square of circumradius r rotated by -theta.
+def _vertex_table(rotations: int, r: float):
+    """The points the vertex pass measures, per quarter-turn residue theta.
 
-    Over the quarter-turn residues theta of the grid: the read-only array
-    (2, 4, residues) of their x and y coordinates, in the vertex order of
-    ``reference_square_vertices``.  Each coordinate is the single product
-    ``r cos`` or ``r sin`` that the rows ``turn[1]`` applied to those
-    vertices round to.
+    Returns the read-only arrays ``(points, units)``.  ``points`` is complex
+    (6, 4, residues): row 0 holds e^{i (theta + pi/4)} 4 times, the turn of
+    the quad's vertices in frame 0 of ``_quad_frames``; rows 1-5 each hold
+    the vertices of the square of circumradius r turned by -theta, in the
+    vertex order of ``reference_square_vertices``, for the 5 edge frames.
+    Each coordinate is the single product ``r cos`` or ``r sin`` that the
+    rows ``turn[1]`` of ``_quarter_turn_residues`` applied to those vertices
+    round to.  ``units`` (6, 1, 2 residues) spreads each frame's box
+    half-width over u and v: frame 0 is a box, the edge frames segments.
     """
-    cos, sin = r * _quarter_turn_residues(rotations)[1, 0].T
-    turned = np.stack([[-cos, sin, cos, -sin], [sin, cos, -sin, -cos]])
-    turned.flags.writeable = False
-    return turned
+    turn = _quarter_turn_residues(rotations)
+    n = turn.shape[2]
+    cos, sin = r * turn[1, 0].T
+    points = np.empty((6, 4, n), complex)
+    points[0].real, points[0].imag = turn[0, 0, :, 0], turn[0, 1, :, 0]
+    points[1:].real = [-cos, sin, cos, -sin]
+    points[1:].imag = [sin, cos, -sin, -cos]
+    units = np.ones((6, 1, 2 * n))
+    units[1:, :, 1::2] = 0.0
+    points.flags.writeable = units.flags.writeable = False
+    return points, units
 
 
-# the quad's edges 0 -> 1, 2 -> 3, 1 -> 2, 3 -> 0, so the upper triangle's two
-# quad edges are rows 0 and 2 and the lower's rows 1 and 3, then the diagonal
-# 0 -> 2 on which the triangles meet
-_EDGE_START = (0, 2, 1, 3, 0)
-_EDGE_END = (1, 3, 2, 0, 2)
+def _vertex_bounds(frames, rotations: int, r: float, convex: bool):
+    """``_rotation_bounds`` from the frames of ``_quad_frames(q, r)``."""
+    rows = 5 if convex else 6
+    points, units = _vertex_table(rotations, r)
+    w, d = _edge_pass(
+        points[:rows],
+        frames[:rows, :4, None],
+        frames[:rows, 4, None, None],
+        frames[:rows, 5, None, None].real * units[:rows],
+    )
+    # (vertex, residue) arrays throughout: reducing over the short leading
+    # axis is an elementwise pass over rows.  d[0] holds the quad's vertices'
+    # squared distances to the square, d[1:5] the square's vertices' to the
+    # quad's 4 edges.
+    lo = np.maximum(d[0], d[1:5].min(axis=0)).max(axis=0)
+    if convex:
+        return lo, lo
+    # the upper and lower triangles: the least over each one's three edges,
+    # 0 inside it, that is right of its two quad edges and on its side of
+    # the diagonal
+    pieces = np.minimum(d[1:3], d[3:5])
+    np.minimum(pieces, d[5], out=pieces)
+    below = w[1:].imag < 0.0
+    inside = below[0:2] & below[2:4]
+    inside &= below[4] == _BELOW_DIAGONAL
+    np.putmask(pieces, inside, 0.0)
+    edge = np.maximum(pieces, pieces[:, [1, 2, 3, 0]]).min(axis=0)
+    return lo, np.maximum(d[0], edge).max(axis=0)
 
 
 def _rotation_bounds(square, quad, rotations: int, convex: bool):
@@ -474,76 +533,80 @@ def _rotation_bounds(square, quad, rotations: int, convex: bool):
     the square's boundary.  The square and its samples map onto themselves
     under a quarter turn, so F(theta + pi/2) = F(theta), and only the grid's
     residues modulo pi/2 are evaluated (``_quarter_turn_residues``).
-    ``square`` is ``reference_square_vertices(S)``.
+    ``square`` is ``reference_square_vertices(S)``, ``quad`` the centred
+    vertices (4, 2).
+
+    Both directions are one ``_edge_pass`` in complex coordinates:
 
     - quad -> square, closed form: turned by a further pi/4 the square is the
-      box ``|u|, |v| <= sqrt(S/2)``, so one matmul turns the 4 vertices by
-      theta + pi/4 and ``_sq_dist_outside_box`` measures them.
+      box ``|u|, |v| <= sqrt(S/2)``, so frame 0 turns the 4 vertices by
+      theta + pi/4 and measures them against that box.
     - square -> quad: the square turned by -theta against the fixed quad has
       the distances of the quad turned by theta against the fixed square.
-      The square's turned vertices are cached as ``_turned_square``.  One
-      array pass over the quad's 4 edges, plus its diagonal from vertex 0 to
-      vertex 2 when not ``convex``, gives every squared distance and
-      crossing-number hit that both bounds need.
+      The square's turned vertices are cached (``_vertex_table``) and
+      measured in the frames of the quad's 4 edges, plus its diagonal from
+      vertex 0 to vertex 2 when not ``convex``.
+
+    A square point y inside the quad needs no inside test.  Its distance to
+    the quad's boundary is some depth t, the disc of radius t about y lies
+    in the quad, and the point of that disc at t along an outward normal of
+    the square at y lies t from the square.  The quad -> square distance is
+    its largest at a vertex of the quad's hull, so it is at least t.  Then
+    the larger of the two directions is the same whether y counts t or 0.
 
     ``lo`` takes the square's vertices as samples.  For ``hi`` the quad is
     the union of convex pieces, itself when ``convex``, else its upper and
-    lower triangles.  They share the diagonal, which lies on y = 0 before
-    centring, so no horizontal ray crosses it and a triangle's crossing test
-    is its two quad edges'.  The distance to a convex piece is convex along a
-    square edge, so its larger endpoint value bounds the edge, and the least
-    such bound over the pieces bounds the distance to the quad.  For a convex
-    quad ``hi`` is ``lo``.
+    lower triangles, which every member of the family is.  The distance to
+    a convex piece, 0 inside it, is convex along a square edge, so its
+    larger endpoint value bounds the edge, and the least such bound over
+    the pieces bounds the distance to the quad.  A point lies inside a
+    triangle when the imaginary parts of its frames say it lies to the
+    right of the triangle's two quad edges and on its side of the diagonal.
+    For a convex quad ``hi`` is ``lo``.
     """
-    turn = _quarter_turn_residues(rotations)
-    n = turn.shape[2]
     r = float(square[2, 0])
-    # (vertex, residue) arrays throughout: reducing over the short leading
-    # axis is an elementwise pass over rows
-    uv = (quad @ turn[0].reshape(2 * n, 2).T).reshape(4, 2, n)
-    sq = _sq_dist_outside_box(uv, r / math.sqrt(2.0))
-    count = 4 if convex else 5
-    px, py = _turned_square(rotations, r)
-    hit, d = _edge_pass(px, py, _edges(quad.tolist(), _EDGE_START[:count], _EDGE_END[:count], 2))
-    back = d[:4].min(axis=0)
-    np.putmask(back, np.logical_xor.reduce(hit), 0.0)
-    lo = np.maximum(sq, back).max(axis=0)
-    if convex:
-        return lo, lo
-    pieces = np.minimum(d[:2], d[2:4])
-    np.minimum(pieces, d[4], out=pieces)
-    np.putmask(pieces, hit[:2] ^ hit[2:4], 0.0)
-    edge = np.maximum(pieces, pieces[:, [1, 2, 3, 0]]).min(axis=0)
-    return lo, np.maximum(sq, edge).max(axis=0)
+    frames, _ = _quad_frames([complex(x, y) for x, y in quad.tolist()], r)
+    return _vertex_bounds(frames, rotations, r, convex)
 
 
-def _sampled_search(px, py, lo, quad, samples_per_edge: int) -> float:
+def _sampled_search(turned, frames, lo, samples_per_edge: int) -> float:
     """min over the given rotations of max(lo, sampled square -> quad), squared.
 
-    ``px``, ``py`` (4, rotations) hold the turned square's vertices, rows of
-    ``_turned_square``.  Edge k's samples are the ``samples_per_edge`` points
-    v_k + (j / samples_per_edge) (v_{k+1} - v_k), vertices included, measured
-    against the possibly non-convex quad by the vertex pass's ``_edge_pass``
-    and reduced as it reduces them; ``lo`` already holds the vertices'
-    values.  Rotations are evaluated as arrays, in blocks of about 32k
-    (rotation, sample, quad edge) triples, so the temporaries stay small.
+    ``turned`` (4, rotations) holds the turned square's vertices, a row of
+    ``_vertex_table``, and ``frames`` the frames of ``_quad_frames``' 4 quad
+    edges.  Edge k's samples are the ``samples_per_edge`` points v_k + (j /
+    samples_per_edge) (v_{k+1} - v_k), vertices included, measured against
+    the possibly non-convex quad's edges by the vertex pass's
+    ``_edge_pass``; ``lo`` already holds the vertices' values, and a sample
+    inside the quad needs no inside test (``_rotation_bounds``).  Rotations
+    are evaluated as arrays, in blocks of about 32k (rotation, sample, quad
+    edge) triples, so the temporaries stay small.
     """
     t = np.linspace(0.0, 1.0, samples_per_edge, endpoint=False)
-    edges = _edges(quad.tolist(), _EDGE_START[:4], _EDGE_END[:4], 3)
+    turn, start = frames[:, 0, None, None], frames[:, 4, None, None]
+    box = frames[:, 5, None, None].real * np.tile([1.0, 0.0], 4 * samples_per_edge)
     # (rotation, square edge, sample) points: the samples are the long last axis
-    ax, ay = px.T[:, :, None], py.T[:, :, None]
-    abx, aby = ax[:, [1, 2, 3, 0]] - ax, ay[:, [1, 2, 3, 0]] - ay
+    a = turned.T[:, :, None]
+    ab = a[:, [1, 2, 3, 0]] - a
     n = len(lo)
     # each rotation measures 4 * samples_per_edge points against 4 quad edges
     block = min(n, max(1, _BLOCK_POINTS // (16 * samples_per_edge)))
     best = np.inf
-    for start in range(0, n, block):
-        rows = slice(start, start + block)
-        hit, d = _edge_pass(ax[rows] + t * abx[rows], ay[rows] + t * aby[rows], edges)
-        back = d.min(axis=0)
-        np.putmask(back, np.logical_xor.reduce(hit), 0.0)
-        best = min(best, np.maximum(lo[rows], back.max(axis=(1, 2))).min())
+    for first in range(0, n, block):
+        rows = slice(first, first + block)
+        z = a[rows] + t * ab[rows]
+        _, d = _edge_pass(z.reshape(len(z), -1), turn, start, box)
+        best = min(best, np.maximum(lo[rows], d.min(axis=0).max(axis=1)).min())
     return best
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int of at least 1; ParameterDomainError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterDomainError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ParameterDomainError(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
 def hausdorff_distance_to_square(
@@ -567,13 +630,15 @@ def hausdorff_distance_to_square(
       each edge of the square turned by -theta (vertices included), against
       the possibly non-convex quad.
 
-    The vertices, centroid and convexity are Python floats; each rotation is
-    then bounded from vertices alone, both bounds from one array pass over
-    the quad's edges (``_rotation_bounds``).  For a convex quad the bounds
-    coincide, so square -> quad is exact too and no sample is taken.
-    Otherwise only the undecided rotations are sampled, those whose lower
-    bound lies under the least upper bound: no other rotation can attain the
-    minimum, so the result is the same number as the full sampled search.
+    The vertices, centroid and edge frames are Python complex numbers, and
+    convexity is read from the turns between the edge directions
+    (``_quad_frames``).  Each rotation is then bounded from vertices alone,
+    both bounds from one complex array pass over the quad's edges
+    (``_rotation_bounds``).  For a convex quad the bounds coincide, so
+    square -> quad is exact too and no sample is taken.  Otherwise only the
+    undecided rotations are sampled, those whose lower bound lies under the
+    least upper bound: no other rotation can attain the minimum, so the
+    result is the same number as the full sampled search.
 
     This is not the isometry-minimised set distance.  No translation is
     searched: the centroids stay aligned, and the best translation of a
@@ -581,13 +646,10 @@ def hausdorff_distance_to_square(
     minimised distance (a median 16% above it on random shapes).  The
     rotation search is discrete, and for a non-convex quad the square -> quad
     distance is a sampled supremum.  Raises ParameterDomainError unless both
-    counts are at least 1.
+    counts are integers (numpy integers included, bools not) of at least 1.
     """
-    if rotations < 1 or samples_per_edge < 1:
-        raise ParameterDomainError(
-            "rotations and samples_per_edge must be >= 1, got "
-            f"{rotations} and {samples_per_edge}"
-        )
+    rotations = _count("rotations", rotations)
+    samples_per_edge = _count("samples_per_edge", samples_per_edge)
     v = _vertex_rows(p)
     # polygon_centroid's shoelace sums, in Python floats
     w = v[1:] + v[:1]
@@ -595,12 +657,14 @@ def hausdorff_distance_to_square(
     area6 = 3.0 * sum(cross)
     cx = sum((x0 + x1) * t for (x0, _), (x1, _), t in zip(v, w, cross)) / area6
     cy = sum((y0 + y1) * t for (_, y0), (_, y1), t in zip(v, w, cross)) / area6
-    quad = np.array([[x - cx, y - cy] for x, y in v])
-    square = reference_square_vertices(p.S)
-    lo, hi = _rotation_bounds(square, quad, rotations, is_convex(p))
+    # reference_square_vertices(p.S)'s circumradius
+    r = math.sqrt(p.S)
+    frames, convex = _quad_frames([complex(x - cx, y - cy) for x, y in v], r)
+    lo, hi = _vertex_bounds(frames, rotations, r, convex)
     best = hi.min()
-    rows = np.flatnonzero(lo < best)
-    if rows.size:
-        px, py = _turned_square(rotations, float(square[2, 0]))[:, :, rows]
-        best = min(best, _sampled_search(px, py, lo[rows], quad, samples_per_edge))
-    return float(np.sqrt(best))
+    if not convex:  # a convex quad's bounds coincide
+        rows = np.flatnonzero(lo < best)
+        if rows.size:
+            turned = _vertex_table(rotations, r)[0][1][:, rows]
+            best = min(best, _sampled_search(turned, frames[1:5], lo[rows], samples_per_edge))
+    return math.sqrt(best)

@@ -331,9 +331,10 @@ def test_small_alpha_quantities_match_z_value_bit_for_bit(rng, monkeypatch):
         q = small_alpha_certificate(p, -0.3).quantities
         assert q["l"] == l_value(p) and q["z_denominator"] == z_denominator(p)
         assert q["z"] == z_value(p) and q["margin"] == z_value(p) - q["g"]
-    # small_alpha and trial_one evaluate l once each
+    # certify_all evaluates l once for small_alpha and trial_one together
     calls = []
     monkeypatch.setattr(certs, "l_value", lambda p: calls.append(p) or l_value(p))
     for p in shapes[:8]:
-        certify_all(p, -0.3)
-    assert calls == [p for p in shapes[:8] for _ in range(2)]
+        small, trial, _ = certify_all(p, -0.3)
+        assert small.quantities["l"] == trial.quantities["l"] == l_value(p)
+    assert calls == shapes[:8]

@@ -531,6 +531,167 @@ def test_hausdorff_rejects_empty_searches(rotations, samples_per_edge):
         hausdorff_distance_to_square(QuadParams.square(), rotations, samples_per_edge)
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [
+        {"rotations": 180.0},
+        {"rotations": 180.5},
+        {"samples_per_edge": 2.5},
+        {"samples_per_edge": 250.0},
+        {"rotations": True},
+        {"samples_per_edge": np.True_},
+        {"rotations": "180"},
+    ],
+)
+def test_hausdorff_rejects_counts_that_are_not_integers(counts):
+    # _SAMPLED_SHAPE has undecided rotations, so samples_per_edge is read
+    with pytest.raises(ParameterDomainError):
+        hausdorff_distance_to_square(_SAMPLED_SHAPE, **{"rotations": 180, "samples_per_edge": 250, **counts})
+
+
+def test_hausdorff_accepts_numpy_integer_counts():
+    for p in (_SAMPLED_SHAPE, QuadParams(0.6, -0.4, 1.2, 0.8)):
+        want = hausdorff_distance_to_square(p, 180, 250)
+        assert hausdorff_distance_to_square(p, np.int64(180), np.int32(250)) == want
+        assert hausdorff_distance_to_square(p, np.uint8(180), np.int16(250)) == want
+
+
+# --- the complex kernel against a plain-float search, one rotation at a time ---
+
+
+def _plain_sq_to_segment(px, py, a, b):
+    """Squared distance from (px, py) to the segment a -> b."""
+    (ax, ay), (bx, by) = a, b
+    ex, ey = bx - ax, by - ay
+    t = min(max(((px - ax) * ex + (py - ay) * ey) / (ex * ex + ey * ey), 0.0), 1.0)
+    dx, dy = px - (ax + t * ex), py - (ay + t * ey)
+    return dx * dx + dy * dy
+
+
+def _plain_sq_to_polygon(px, py, poly):
+    """Squared distance from (px, py) to a polygon's region, 0 inside it.
+
+    Inside by crossing number; outside, the least squared distance to an
+    edge.
+    """
+    inside = False
+    for (ax, ay), (bx, by) in zip(poly[-1:] + poly[:-1], poly):
+        if (ay > py) != (by > py) and px < ax + (py - ay) * (bx - ax) / (by - ay):
+            inside = not inside
+    if inside:
+        return 0.0
+    return min(_plain_sq_to_segment(px, py, poly[k - 1], poly[k]) for k in range(len(poly)))
+
+
+def _plain_float_search(p, rotations, samples_per_edge):
+    """min over the grid's rotations theta of the larger directed distance.
+
+    One rotation at a time, in plain floats: the quad turned by theta
+    against the fixed square, quad -> square at the quad's vertices and
+    square -> quad at ``samples_per_edge`` points per square edge.  The
+    value repeats every quarter turn, so theta runs over the grid's angles
+    in [0, pi/2) (``rotations`` a multiple of 4).  The distance to a convex
+    quad is convex along a square edge, so a convex quad is measured at the
+    square's vertices alone.
+    """
+    v = [(-p.c, 0.0), (p.a1, p.S1 / p.c), (p.c, 0.0), (p.a2, -p.S2 / p.c)]
+    area = cx = cy = 0.0
+    for (x0, y0), (x1, y1) in zip(v, v[1:] + v[:1]):
+        w = x0 * y1 - x1 * y0
+        area += w
+        cx += (x0 + x1) * w
+        cy += (y0 + y1) * w
+    cx, cy = cx / (3.0 * area), cy / (3.0 * area)
+    quad = [(x - cx, y - cy) for x, y in v]
+    r = math.sqrt(p.S)
+    square = [(-r, 0.0), (0.0, r), (r, 0.0), (0.0, -r)]
+    between = [
+        (ax + (j / samples_per_edge) * (bx - ax), ay + (j / samples_per_edge) * (by - ay))
+        for j in range(1, 1 if is_convex(p) else samples_per_edge)
+        for (ax, ay), (bx, by) in zip(square, square[1:] + square[:1])
+    ]
+    # the value at the vertices bounds each rotation's from below, so the
+    # rotations run in its order and stop once none can win
+    bounded = []
+    for k in range(rotations // 4):
+        theta = 2.0 * math.pi * k / rotations
+        c, s = math.cos(theta), math.sin(theta)
+        turned = [(x * c - y * s, x * s + y * c) for x, y in quad]
+        # outside the square, its edge in the quadrant of (|x|, |y|) is the nearest
+        value = max(
+            [0.0 if abs(x) + abs(y) <= r else _plain_sq_to_segment(abs(x), abs(y), square[2], square[1])
+             for x, y in turned]
+            + [_plain_sq_to_polygon(x, y, turned) for x, y in square]
+        )
+        bounded.append((value, turned))
+    bounded.sort(key=lambda pair: pair[0])
+    best = math.inf
+    for value, turned in bounded:
+        if value >= best:
+            break
+        for x, y in between:
+            value = max(value, _plain_sq_to_polygon(x, y, turned))
+            if value >= best:
+                break
+        best = min(best, value)
+    return math.sqrt(best)
+
+
+def test_complex_kernel_agrees_with_a_plain_float_search():
+    rng = np.random.default_rng(60)
+    shapes = _oracle_shapes(rng, 60) + [_SAMPLED_SHAPE]
+    draws = _theorem3_draws(rng, 100, -1.0) + _theorem3_draws(rng, 100, -4.0)
+    for group in (shapes, draws):
+        assert any(is_convex(p) for p in group) and any(not is_convex(p) for p in group)
+    # square vertices inside the quad, which the kernel measures against its edges alone
+    square = reference_square_vertices().tolist()
+    assert any(
+        _plain_sq_to_polygon(x, y, (quad_vertices(p) - polygon_centroid(quad_vertices(p))).tolist()) == 0.0
+        for p in shapes + draws
+        for x, y in square
+    )
+    for p in shapes + draws:
+        want = _plain_float_search(p, 180, 250)
+        got = hausdorff_distance_to_square(p, 180, 250)
+        assert abs(got - want) <= 8 * np.spacing(want), (p, got, want)
+
+
+def _centred_frames(p):
+    """``_quad_frames`` of the centred vertices, as hausdorff_distance_to_square forms them."""
+    v = quad_vertices(p)
+    q = v - polygon_centroid(v)
+    return geometry._quad_frames([complex(x, y) for x, y in q.tolist()], math.sqrt(p.S))
+
+
+def test_search_convexity_matches_is_convex():
+    shapes = _oracle_shapes(np.random.default_rng(42), 400) + _theorem3_draws(np.random.default_rng(43), 64)
+    # (-c, 0) and (c, 0) at distance ~eps from the segment between the apexes
+    near = [
+        QuadParams(s * (2.0 + t * e), 0.0, 1.0, 1.0)
+        for e in np.logspace(-17, -11, 25) for t in (1, -1) for s in (1, -1)
+    ]
+    extremes = [
+        QuadParams(a1, a2, c, S1)
+        for c in (1e-6, 1e9)
+        for a1, a2 in ((0.0, 0.0), (5.0, -1.0), (-2.0, 2.0))
+        for S1 in (1e-12, 1.0, 2.0 - 1e-12)
+    ]
+    flags = {True: 0, False: 0}
+    for p in shapes + near + extremes:
+        convex = _centred_frames(p)[1]
+        assert convex == is_convex(p), p
+        flags[convex] += 1
+    assert min(flags.values()) > 50
+    # a convex quad gives the same distance on the non-convex path
+    for p in [p for p in shapes if is_convex(p)][:40]:
+        square = reference_square_vertices(p.S)
+        quad = quad_vertices(p) - polygon_centroid(quad_vertices(p))
+        fast, _ = geometry._rotation_bounds(square, quad, 180, True)
+        lo, hi = geometry._rotation_bounds(square, quad, 180, False)
+        assert np.all(np.abs(lo - fast) <= 4 * np.spacing(fast)), p
+        assert abs(hi.min() - fast.min()) <= 4 * np.spacing(fast.min()), p
+
+
 # --- the fused vertex pass: closed-form quad -> square, one edge pass back ---
 
 
@@ -549,7 +710,8 @@ def test_closed_form_box_distance_matches_the_polygon_kernel(S):
     x, y = np.concatenate([inside, outside, boundary]).T
     # turned by pi/4 the square is the box |u|, |v| <= sqrt(S/2)
     c = math.cos(0.25 * math.pi)
-    got = geometry._sq_dist_outside_box(np.stack([c * x - c * y, c * x + c * y]), math.sqrt(S / 2))
+    h = np.full(2 * len(x), math.sqrt(S / 2))
+    got = geometry._sq_dist_outside_box((c * x - c * y) + 1j * (c * x + c * y), h)
     want = _two_call_sq_dist_outside(x, y, square)
     assert np.all(got[:300] == 0.0) and np.all(want[:300] == 0.0)
     assert np.all(got[300:600] > 0.0)
@@ -663,17 +825,21 @@ def test_each_theorem3_draw_evaluates_interior_angles_once(monkeypatch):
     alpha = -1.0
     th = certs.parameter_thresholds(alpha, 1.0)
     draws = _theorem3_draws(np.random.default_rng(20), 32, alpha)
-    calls = []
-    angles = geometry.interior_angles
+    calls, turns = [], []
+    angles = geometry._interior_angles
+    corner_turns = geometry._corner_turns
 
     def counting(p):
         calls.append(p)
         return angles(p)
 
-    monkeypatch.setattr(geometry, "interior_angles", counting)
-    monkeypatch.setattr(certs, "interior_angles", counting)
+    monkeypatch.setattr(geometry, "_interior_angles", counting)
+    monkeypatch.setattr(certs, "_interior_angles", counting)
+    monkeypatch.setattr(geometry, "_corner_turns", lambda p: turns.append(p) or corner_turns(p))
     for p in draws:
         hausdorff_distance_to_square(p, rotations=180, samples_per_edge=250)
         certs.threshold_conditions(p, alpha, th)
         certs.certify_all(p, alpha)
     assert calls == draws
+    # the search reads convexity from its own edge frames, not the corners
+    assert turns == draws
