@@ -26,7 +26,7 @@ import numpy as np
 
 from ._records import Record
 from .errors import DomainError
-from .geometry import EDGE_IDS, QuadParams, _interior_angles, edge_length
+from .geometry import QuadParams, _interior_angles
 from .square_exact import solve_square
 
 __all__ = [
@@ -70,12 +70,19 @@ class Certificate(Record):
 
 
 def l_value(p: QuadParams) -> float:
-    """sum_{edges} |edge| / S_j; minimised (= 4 sqrt(2S)/S) exactly at the square."""
-    total = 0.0
-    for e in EDGE_IDS:
-        Sj = p.S1 if e.j == 1 else p.S2
-        total += edge_length(p, e) / Sj
-    return total
+    """sum_{edges} |edge| / S_j; minimised (= 4 sqrt(2S)/S) exactly at the square.
+
+    The edges are summed in EDGE_IDS order, each length in the closed form
+    of ``edge_length``.
+    """
+    a1, a2, c, S1, S2 = p.a1, p.a2, p.c, p.S1, p.S2
+    h1, h2 = S1 / c, S2 / c
+    return (
+        math.hypot(h1, a1 + c) / S1
+        + math.hypot(h1, a1 - c) / S1
+        + math.hypot(h2, a2 + c) / S2
+        + math.hypot(h2, a2 - c) / S2
+    )
 
 
 def l_bound_chain(p: QuadParams) -> tuple[float, float, float]:
@@ -202,6 +209,9 @@ def asymptotic_constant(theta: float) -> float:
 
 
 _RECT_TOL = 1e-12
+# the keys of large_alpha_certificate's quantities, per corner
+_THETA_KEYS = ("theta_1", "theta_2", "theta_3", "theta_4")
+_C_KEYS = ("C_1", "C_2", "C_3", "C_4")
 
 
 def large_alpha_certificate(p: QuadParams) -> Certificate:
@@ -214,21 +224,20 @@ def large_alpha_certificate(p: QuadParams) -> Certificate:
     here; for them the square is known to be the maximiser by separation of
     variables, but that is not this certificate.
     """
-    angles = _interior_angles(p)
-    constants = [asymptotic_constant(t) for t in angles]
-    max_c = max(constants)
+    quantities = {}
+    constants = []
+    rectangle = True
+    for t, key in zip(_interior_angles(p), _THETA_KEYS):
+        quantities[key] = t
+        constants.append(asymptotic_constant(t))
+        rectangle = rectangle and abs(t - 0.5 * math.pi) <= _RECT_TOL
+    quantities.update(zip(_C_KEYS, constants))
+    max_c = quantities["max_C"] = max(constants)
+    quantities["square_constant"] = 2.0
     cert = Certificate(
-        kind="large_alpha_asymptotic",
-        params=p,
-        alpha=None,
-        quantities={
-            **{f"theta_{k+1}": t for k, t in enumerate(angles)},
-            **{f"C_{k+1}": v for k, v in enumerate(constants)},
-            "max_C": max_c,
-            "square_constant": 2.0,
-        },
+        kind="large_alpha_asymptotic", params=p, alpha=None, quantities=quantities
     )
-    if all(abs(t - 0.5 * math.pi) <= _RECT_TOL for t in angles):
+    if rectangle:
         cert.notes = (
             "rectangle: all corner constants equal the square's; the square "
             "is still the maximiser among rectangles by separation of "

@@ -188,41 +188,65 @@ def perimeter(p: QuadParams) -> float:
     return sum(edge_length(p, e) for e in EDGE_IDS)
 
 
+def _centroid(p: QuadParams) -> tuple[float, float]:
+    """The centroid ``((S1 a1 + S2 a2) / (6S), (S1 - S2) / (3c))``.
+
+    It is the area-weighted mean of the centroids (a_j / 3, +-S_j / (3c)) of
+    the upper and lower triangles, of areas S1 and S2, and exactly 0 at the
+    square.
+    """
+    S1, S2 = p.S1, p.S2
+    return (S1 * p.a1 + S2 * p.a2) / (6.0 * p.S), (S1 - S2) / (3.0 * p.c)
+
+
 def _corner_turns(p: QuadParams) -> list[tuple[float, float]]:
     """(cross, dot) of the edges into and out of each vertex, in vertex order.
 
     ``cross`` is their cross product negated, since quad_vertices runs
     clockwise, so it is positive exactly where the interior angle is below
-    pi; ``dot`` is their dot product.  Raises GeometryError at the first
-    collinear vertex triple, ``|cross| <= 1e-14 |e_in| |e_out|``.
+    pi; ``dot`` is their dot product, a plain float sum.  Vertices 0 and 2
+    lie on the x-axis, so the cross products have closed forms in the apex
+    heights h_j = S_j / c: at an apex the single product 2 c h_j, and at
+    (-c, 0) and (c, 0) two terms that differ in sign only where the angle
+    exceeds pi/2.  So no sharp corner loses digits to cancellation.  Raises
+    GeometryError at the first collinear vertex triple,
+    ``|cross| <= 1e-14 |e_in| |e_out|``.
     """
-    v = _vertex_rows(p)
-    e = [[v[k][0] - v[k - 1][0], v[k][1] - v[k - 1][1]] for k in range(4)]
-    a = np.array(e)
-    # every dot product and squared length in one matmul, rounded as np.dot
-    gram = (a @ a.T).tolist()
+    a1, a2, c = p.a1, p.a2, p.c
+    h1, h2 = p.S1 / c, p.S2 / c
+    # the edge into each vertex of _vertex_rows
+    e = [(-c - a2, h2), (a1 + c, h1), (c - a1, -h1), (a2 - c, -h2)]
+    crosses = [(a1 + c) * h2 + (a2 + c) * h1, 2.0 * c * h1,
+               (c - a2) * h1 + (c - a1) * h2, 2.0 * c * h2]
+    lengths = [math.sqrt(x * x + y * y) for x, y in e]
     turns = []
-    for k in range(4):
+    for k, cross in enumerate(crosses):
         j = (k + 1) % 4  # the edge out of vertex k
-        cross = e[k][1] * e[j][0] - e[k][0] * e[j][1]
-        scale = math.sqrt(gram[k][k]) * math.sqrt(gram[j][j])
+        (x0, y0), (x1, y1) = e[k], e[j]
+        scale = lengths[k] * lengths[j]
         if scale == 0.0 or abs(cross) <= 1e-14 * scale:
             raise GeometryError(f"collinear vertex triple at vertex {k} of {p}")
-        turns.append((cross, gram[k][j]))
+        turns.append((cross, x0 * x1 + y0 * y1))
     return turns
 
 
 def _interior_angles(p: QuadParams) -> list[float]:
     """``interior_angles`` as a list of Python floats."""
-    return [math.pi - math.atan2(cross, dot) for cross, dot in _corner_turns(p)]
+    return [
+        math.atan2(cross, -dot) + (0.0 if cross > 0.0 else 2.0 * math.pi)
+        for cross, dot in _corner_turns(p)
+    ]
 
 
 def interior_angles(p: QuadParams) -> np.ndarray:
     """Interior angles at the four vertices, in radians, each in (0, 2*pi).
 
     Works for the non-convex members of the family too (a reflex vertex
-    reports its angle above pi).  Raises GeometryError for a collinear
-    vertex triple, i.e. a degenerate quadrilateral.
+    reports its angle above pi).  Each angle is ``atan2(cross, -dot)`` of the
+    turn between the edges in and out, plus 2 pi at a reflex vertex, where
+    the cross product is negative.  That form has no cancellation at sharp
+    corners, unlike ``pi - atan2(cross, dot)``.  Raises GeometryError for a
+    collinear vertex triple, i.e. a degenerate quadrilateral.
     """
     return np.array(_interior_angles(p))
 
@@ -602,11 +626,13 @@ def _sampled_search(turned, frames, lo, samples_per_edge: int) -> float:
 
 def _count(name: str, value) -> int:
     """``value`` as an int of at least 1; ParameterDomainError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ParameterDomainError(f"{name} must be an integer, got {value!r}")
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ParameterDomainError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
     if value < 1:
         raise ParameterDomainError(f"{name} must be >= 1, got {value}")
-    return int(value)
+    return value
 
 
 def hausdorff_distance_to_square(
@@ -630,7 +656,10 @@ def hausdorff_distance_to_square(
       each edge of the square turned by -theta (vertices included), against
       the possibly non-convex quad.
 
-    The vertices, centroid and edge frames are Python complex numbers, and
+    The centroid is the family's closed form ``((S1 a1 + S2 a2) / (6S),
+    (S1 - S2) / (3c))``, the area-weighted mean of the centroids of the
+    upper and lower triangles, which is exactly 0 at the square.  The
+    centred vertices and the edge frames are Python complex numbers, and
     convexity is read from the turns between the edge directions
     (``_quad_frames``).  Each rotation is then bounded from vertices alone,
     both bounds from one complex array pass over the quad's edges
@@ -650,16 +679,10 @@ def hausdorff_distance_to_square(
     """
     rotations = _count("rotations", rotations)
     samples_per_edge = _count("samples_per_edge", samples_per_edge)
-    v = _vertex_rows(p)
-    # polygon_centroid's shoelace sums, in Python floats
-    w = v[1:] + v[:1]
-    cross = [x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(v, w)]
-    area6 = 3.0 * sum(cross)
-    cx = sum((x0 + x1) * t for (x0, _), (x1, _), t in zip(v, w, cross)) / area6
-    cy = sum((y0 + y1) * t for (_, y0), (_, y1), t in zip(v, w, cross)) / area6
+    cx, cy = _centroid(p)
     # reference_square_vertices(p.S)'s circumradius
     r = math.sqrt(p.S)
-    frames, convex = _quad_frames([complex(x - cx, y - cy) for x, y in v], r)
+    frames, convex = _quad_frames([complex(x - cx, y - cy) for x, y in _vertex_rows(p)], r)
     lo, hi = _vertex_bounds(frames, rotations, r, convex)
     best = hi.min()
     if not convex:  # a convex quad's bounds coincide

@@ -43,9 +43,6 @@ __all__ = [
     "quadrature_norms",
 ]
 
-_ROOT_TOL = 1e-13
-
-
 def g(t):
     """g(t) = t * tanh(t) for t >= 0."""
     return t * np.tanh(t)
@@ -69,64 +66,60 @@ def f_prime(t):
     return np.tan(t) + t / np.cos(t) ** 2
 
 
-def _bisect_newton(func, dfunc, target, lo, hi, tol):
+def _newton(func, dfunc, target, t, lo, hi):
+    """Newton on func(t) = target from t, for an increasing func.
+
+    Stops once a step moves t by no more than 4 ulps, so the root keeps a
+    relative accuracy of a few ulps whatever its size.  Each residual's
+    sign narrows the bracket [lo, hi], and a step that would leave it
+    bisects it instead.
+    """
+    for _ in range(12):
+        resid = float(func(t) - target)
+        if resid == 0.0:
+            break
+        if resid > 0.0:
+            hi = t
+        else:
+            lo = t
+        step = resid / float(dfunc(t))
+        if not lo <= t - step <= hi:
+            step = t - 0.5 * (lo + hi)
+        t -= step
+        if abs(step) <= 4.0 * np.finfo(float).eps * abs(t):
+            break
+    return t
+
+
+def _bisect_newton(func, dfunc, target, lo, hi):
     """Bracketed bisection narrowed enough for Newton to finish quadratically."""
     flo = func(lo) - target
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         fmid = func(mid) - target
         if fmid == 0.0:
-            lo = hi = mid
-            break
+            return mid
         if (fmid > 0.0) == (flo > 0.0):
             lo, flo = mid, fmid
         else:
             hi = mid
         if hi - lo <= 1e-6 * max(1.0, abs(lo)):
             break
-    t = 0.5 * (lo + hi)
-    for _ in range(12):
-        resid = func(t) - target
-        if abs(resid) <= tol:
-            break
-        step = resid / dfunc(t)
-        t_new = t - step
-        if not lo <= t_new <= hi:
-            t_new = 0.5 * (lo + hi)
-        if func(t_new) - target > 0.0:
-            hi = t_new
-        else:
-            lo = t_new
-        t = t_new
-    return t
+    return _newton(func, dfunc, target, 0.5 * (lo + hi), lo, hi)
 
 
-# below this x, t tanh t and t tan t are t^2 (1 + O(t^2)) and their roots are
-# found from sqrt(x) to a relative accuracy (see _small_root)
+# below this x, t tanh t and t tan t are t^2 (1 + O(t^2)), so sqrt(x) is off
+# their root by a relative O(x) and _newton starts there; a bracket would
+# waste its bisection steps on an absolute width
 _SMALL_X = 1e-4
-
-
-def _small_root(func, dfunc, x: float) -> float:
-    """The root of func(t) = x for 0 < x < _SMALL_X, func(t) = t^2 (1 + O(t^2)).
-
-    Newton from sqrt(x), which is off by a relative O(x), until a step moves
-    t by no more than a few ulps.  The bracketed search stops on an absolute
-    residual and width instead, which at such x leave only a few digits.
-    """
-    t = math.sqrt(x)
-    for _ in range(8):
-        step = float((func(t) - x) / dfunc(t))
-        t -= step
-        if abs(step) <= 4.0 * np.finfo(float).eps * t:
-            break
-    return t
 
 
 def g_inverse(x: float) -> float:
     """The unique t >= 0 with t * tanh(t) = x.
 
-    Strictly increasing in x; |g(t) - x| <= 1e-13 * max(1, x), and below
-    x = 1e-4 t is found to a relative accuracy of a few ulps.
+    Strictly increasing in x.  t is found to a relative accuracy of a few
+    ulps: Newton finishes the root until a step moves it by no more than 4
+    ulps, from sqrt(x) below x = 1e-4 and from a bracket above.
     """
     x = float(x)
     if x < 0.0:
@@ -134,15 +127,15 @@ def g_inverse(x: float) -> float:
     if x == 0.0:
         return 0.0
     if x < _SMALL_X:
-        return _small_root(g, g_prime, x)
+        return _newton(g, g_prime, x, math.sqrt(x), 0.0, math.inf)
     # g(t) >= t - 1 for t >= 0, so the root lies in [0, x + 2]
-    return _bisect_newton(g, g_prime, x, 0.0, x + 2.0, _ROOT_TOL * max(1.0, x))
+    return _bisect_newton(g, g_prime, x, 0.0, x + 2.0)
 
 
 def f_inverse(x: float) -> float:
     """The unique t in (0, pi/2) with t * tan(t) = x, for finite x > 0.
 
-    Below x = 1e-4 t is found to a relative accuracy of a few ulps.
+    t is found to a relative accuracy of a few ulps, as in ``g_inverse``.
 
     Above x ~ 2.6e16 the root lies beyond math.pi/2, the double nearest
     pi/2, so no double in (0, pi/2) is left to return: DomainError.
@@ -153,10 +146,9 @@ def f_inverse(x: float) -> float:
 # pi/2 = _HALF_PI + _HALF_PI_LO: the double nearest pi/2 and the remainder
 _HALF_PI = 0.5 * math.pi
 _HALF_PI_LO = 6.123233995736766e-17
-# above this x the root is found as e = pi/2 - t (see _f_root), to a residual
-# of a few ulps of pi/2, so that e keeps nearly every digit
+# above this x the root is found as e = pi/2 - t (see _f_root), so that e
+# keeps nearly every digit
 _POLE_X = 1.0
-_POLE_TOL = 1e-15
 
 
 def _f_root(x: float) -> tuple[float, float]:
@@ -173,12 +165,12 @@ def _f_root(x: float) -> tuple[float, float]:
     if not 0.0 < x < math.inf:
         raise DomainError(f"f_inverse requires finite x > 0, got {x}")
     if x < _SMALL_X:
-        t = _small_root(f, f_prime, x)
+        t = _newton(f, f_prime, x, math.sqrt(x), 0.0, math.inf)
         return t, _HALF_PI - t
     if x <= _POLE_X:
         # f(hi) > x: f blows up like (pi/2)/(pi/2 - t)
         hi = _HALF_PI - min(0.5, 0.25 * _HALF_PI / x)
-        t = _bisect_newton(f, f_prime, x, 1e-300, hi, _ROOT_TOL)
+        t = _bisect_newton(f, f_prime, x, 1e-300, hi)
         return t, _HALF_PI - t
     # tan e >= e puts the root below (pi/2) / (x + 1), and tan e <= 1.06 e
     # there puts it above half that
@@ -188,7 +180,6 @@ def _f_root(x: float) -> tuple[float, float]:
         _HALF_PI,
         0.25 * math.pi / (x + 1.0),
         0.5 * math.pi / (x + 1.0),
-        _POLE_TOL,
     )
     if e <= _HALF_PI_LO:
         raise DomainError(f"closed forms are not finite: t tan t = {x} has no double root")

@@ -137,32 +137,49 @@ def test_collinear_vertices_raise():
         interior_angles(QuadParams(-2.0, 0.0, 1.0, 1.0))
 
 
-def _loop_interior_angles(p):
-    """interior_angles as a per-vertex loop, the form the array pass replaced."""
-    v = quad_vertices(p)
-    orientation = 1.0 if polygon_area(v) > 0.0 else -1.0
-    angles = np.empty(4)
-    for k in range(4):
-        e_in = v[k] - v[k - 1]
-        e_out = v[(k + 1) % 4] - v[k]
-        cross = e_in[0] * e_out[1] - e_in[1] * e_out[0]
-        dot = float(np.dot(e_in, e_out))
-        scale = float(np.linalg.norm(e_in) * np.linalg.norm(e_out))
-        if scale == 0.0 or abs(cross) <= 1e-14 * scale:
-            raise GeometryError(f"collinear vertex triple at vertex {k} of {p}")
-        angles[k] = math.pi - math.atan2(orientation * cross, dot)
+def _mp_interior_angles(p, mp):
+    """interior_angles in 50 digits, from the float vertices taken as exact.
+
+    Each angle is the turn from the direction of the edge back to the
+    previous vertex to that of the edge on to the next one, in [0, 2 pi),
+    as the difference of two atan2 values.  A vertex whose cross product is
+    at most 1e-14 times its edges' lengths raises as interior_angles does.
+    """
+    v = [(mp.mpf(x), mp.mpf(y)) for x, y in quad_vertices(p).tolist()]
+    angles = []
+    with mp.workdps(50):
+        for k in range(4):
+            (x0, y0), (x1, y1), (x2, y2) = v[k - 1], v[k], v[(k + 1) % 4]
+            cross = (y1 - y0) * (x2 - x1) - (x1 - x0) * (y2 - y1)
+            scale = mp.hypot(x1 - x0, y1 - y0) * mp.hypot(x2 - x1, y2 - y1)
+            if scale == 0 or abs(cross) <= mp.mpf(1e-14) * scale:
+                raise GeometryError(f"collinear vertex triple at vertex {k} of {p}")
+            turn = mp.atan2(y2 - y1, x2 - x1) - mp.atan2(y0 - y1, x0 - x1)
+            angles.append(turn % (2 * mp.pi))
     return angles
 
 
-def test_interior_angles_match_the_vertex_loop():
+# members with an interior angle below 1e-3 rad, at (-c, 0) and (c, 0) or at
+# an apex, where pi - atan2(cross, dot) is off by 7e-14 to 1e-9 relative
+_SHARP_SHAPES = [
+    QuadParams(0.0, 0.1, 50.0, 1.0),
+    QuadParams(0.0, 0.0, 0.02, 0.9),
+    QuadParams(0.5, 0.2, 0.01, 1.5),
+    QuadParams(60.0, -45.0, 1.0, 1.0),
+    QuadParams(3000.0, 2000.0, 1.0, 1.0),
+]
+
+
+def test_interior_angles_match_a_50_digit_angle():
+    mp = pytest.importorskip("mpmath")
     shapes = _oracle_shapes(np.random.default_rng(31), 400)
     # (-c, 0) on the segment between the apexes, (c, 0) on it, and 1e-9 off it
     degenerate = [QuadParams(-2.0, 0.0, 1.0, 1.0), QuadParams(2.0, 0.0, 1.0, 1.0),
                   QuadParams(-1.0, 1.0, 0.5, 0.5), QuadParams(-2.0 + 1e-9, 0.0, 1.0, 1.0)]
     raised = 0
-    for p in shapes + degenerate:
+    for p in shapes + _SHARP_SHAPES + degenerate:
         try:
-            want = _loop_interior_angles(p)
+            want = _mp_interior_angles(p, mp)
         except GeometryError as err:
             with pytest.raises(GeometryError) as got:
                 interior_angles(p)
@@ -171,10 +188,29 @@ def test_interior_angles_match_the_vertex_loop():
             raised += 1
             continue
         angles = interior_angles(p)
-        assert np.all(np.abs(angles - want) <= 1e-15 * want)
-        assert is_convex(p) == bool(np.all(want < math.pi))
+        for got, exact in zip(angles.tolist(), want):
+            assert abs(got - exact) <= 1e-15 * exact, (p, got, exact)
+        assert is_convex(p) == all(t < mp.pi for t in want)
     assert raised == 3
     assert any(is_convex(p) for p in shapes) and any(not is_convex(p) for p in shapes)
+    assert all(min(interior_angles(p)) < 1e-3 for p in _SHARP_SHAPES)
+
+
+def test_closed_form_centroid_matches_the_shoelace_centroid():
+    shapes = _oracle_shapes(np.random.default_rng(33), 200)
+    assert any(is_convex(p) for p in shapes) and any(not is_convex(p) for p in shapes)
+    for p in shapes:
+        v = quad_vertices(p)
+        scale = np.abs(v).max()
+        got = np.array(geometry._centroid(p))
+        assert np.all(np.abs(got - polygon_centroid(v)) <= 1e-15 * scale), p
+    for S in (0.5, 1.0, 2.5):
+        square = QuadParams.square(S)
+        assert geometry._centroid(square) == (0.0, 0.0)
+        # what is left is roundoff: at S = 0.5 and 2.5 the apexes S / sqrt(S)
+        # round an ulp off sqrt(S), and the box half-width sqrt(S) / sqrt(2)
+        # rounds an ulp off the turned vertex sqrt(S) cos(pi/4)
+        assert hausdorff_distance_to_square(square) <= 2.0 * math.ulp(square.c)
 
 
 def test_polygon_centroid_and_area_match_the_rolled_formulas():

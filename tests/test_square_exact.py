@@ -165,25 +165,30 @@ def test_closed_forms_near_the_pole_match_a_60_digit_root(x):
 
 
 @pytest.mark.parametrize("alpha", [s * a for a in (1e-300, 1e-20, 1e-12, 1e-8, 1e-6, 1e-4)
-                                   for s in (-1.0, 1.0)])
+                                   for s in (-1.0, 1.0)]
+                         + [1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1, -0.5, 1.0, -1.0, 2.0, -4.0, -16.0])
 def test_small_alpha_eigenvalue_matches_a_60_digit_root(alpha):
     mp = pytest.importorskip("mpmath")
 
+    sol = solve_square(alpha)
     with mp.workdps(60):
-        # t = sqrt(x) u with u near 1, so the root is found to a relative accuracy
+        # t = sqrt(x) u, so the root is found to a relative accuracy; the
+        # double root only starts the search
         x = abs(mp.mpf(alpha)) * mp.sqrt(mp.mpf(1) / 2)
         h = mp.tanh if alpha < 0.0 else mp.tan
-        u = mp.findroot(lambda u: mp.sqrt(x) * u * h(mp.sqrt(x) * u) / x - 1, 1)
+        u = mp.findroot(lambda u: mp.sqrt(x) * u * h(mp.sqrt(x) * u) / x - 1,
+                        mp.mpf(sol.t_star) / mp.sqrt(x))
         lam = (-4 if alpha < 0.0 else 4) * x * u**2  # +-2 (t / L)^2, L^2 = 1/2
-    assert abs(solve_square(alpha).lambda1 / float(lam) - 1.0) <= 1e-14
+    assert abs(sol.lambda1 / float(lam) - 1.0) <= 1e-15
 
 
 def test_moderate_alpha_eigenvalues_keep_their_bits():
+    # each within 2 ulps of the 60-digit root of the test above
     frozen = {
-        -4.0: "-0x1.037774ce79d63p+5",
-        -1.0: "-0x1.d1abfb8d5113dp+1",
-        1.0: "0x1.22c3116e4edddp+1",
-        2.0: "0x1.e17914d2cc04ap+1",
+        -4.0: "-0x1.037774ce79dc1p+5",
+        -1.0: "-0x1.d1abfb8d510a0p+1",
+        1.0: "0x1.22c3116e4ec61p+1",
+        2.0: "0x1.e17914d2cc052p+1",
     }
     for alpha, bits in frozen.items():
         assert solve_square(alpha).lambda1 == float.fromhex(bits)
