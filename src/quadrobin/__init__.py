@@ -11,6 +11,7 @@ Modules by concern:
 - ``sensitivity``:   eigenvalue gradients and Hessians in (a1, a2, c, S1)
 - ``certificates``:  closed-form comparison certificates against the square
 - ``cli``:           the ``quadrobin`` command-line tool
+- ``oracles``:       independent cross-checks that the runtime never imports
 
 Only the finite-element path loads scipy: ``assembly`` and ``solver`` import
 it inside the functions that call it.  So importing the package, and the

@@ -52,7 +52,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._quadrature import gauss_legendre
 from .coefficients import coefficient_values
 from .errors import ContractError, DomainError
 from .geometry import QuadParams, map_forward
@@ -70,9 +69,6 @@ __all__ = [
     "affine_blocks",
     "affine_combination",
     "affine_images",
-    "boundary_mass_matrices",
-    "directional_stiffness",
-    "export_coo",
 ]
 
 
@@ -176,7 +172,7 @@ def _boundary_from(nodes, bedge_nodes, n, edge_weights: np.ndarray) -> sp.csr_ma
 
     if len(bedge_nodes) == 0:
         return sp.csr_matrix((n, n))
-    t, w = gauss_legendre(3)
+    t, w = np.polynomial.legendre.leggauss(3)
     t = 0.5 * (t + 1.0)
     w = 0.5 * w
     shape = np.stack([1.0 - t, t])  # (2, q)
@@ -402,32 +398,6 @@ def _pencil_weights(alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return wK, np.tile([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 2)
 
 
-def boundary_mass_matrices(mesh: Mesh) -> list[sp.csr_matrix]:
-    """Unit-weight boundary mass matrix for each of the four edge labels."""
-    return [affine_combination(mesh, np.eye(12)[b]) for b in _EDGE_W]
-
-
-def directional_stiffness(mesh: Mesh, i: int, j: int, half: str | None = None) -> sp.csr_matrix:
-    """Assembled form  int (d_i phi)(d_j phi)  over the square or one half.
-
-    Used by the symmetry checks on discrete eigenvectors; i, j in {1, 2}.
-    """
-    E = np.zeros((2, 2))
-    E[i - 1, j - 1] += 0.5
-    E[j - 1, i - 1] += 0.5
-    if half is None:
-        keep = np.ones(len(mesh.triangles), dtype=bool)
-    elif half == "upper":
-        keep = mesh.tri_upper
-    elif half == "lower":
-        keep = ~mesh.tri_upper
-    else:
-        raise ValueError(f"unknown half {half!r}")
-    tris = mesh.triangles[keep]
-    G = np.broadcast_to(E, (len(tris), 2, 2))
-    return _stiffness_from(mesh.nodes, tris, mesh.dof_count, G)
-
-
 def _assemble_pullback(p, alpha, mesh, transported: bool, kind: str) -> AssembledSystem:
     _check_mesh(p, alpha, mesh)
     # one frame deeper than assemble_direct's call: attributed to the caller
@@ -475,12 +445,3 @@ def assemble_direct(p: QuadParams, alpha: float, mesh: Mesh) -> AssembledSystem:
     )
     M = _mass_from(phys, mesh.triangles, n, np.ones(len(mesh.triangles)))
     return AssembledSystem(K.tocsr(), M.tocsr(), n, p, alpha, mesh, "direct")
-
-
-def export_coo(matrix: sp.spmatrix, path) -> None:
-    """Write a matrix as whitespace 'row col value' lines (0-based indices)."""
-    coo = matrix.tocoo()
-    with open(path, "w") as fh:
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {float(v)!r}\n")

@@ -34,7 +34,6 @@ __all__ = [
     "l_value",
     "l_bound_chain",
     "z_denominator",
-    "z_value",
     "g_alpha",
     "small_alpha_certificate",
     "trial_one_certificate",
@@ -106,16 +105,9 @@ def z_denominator(p: QuadParams) -> float:
     )
 
 
-def z_value(p: QuadParams) -> float:
-    """z(p) = (S l / (4 sqrt(2) c0) - 1) / z_denominator(p); 0/0 at the square."""
-    den = z_denominator(p)
-    if den == 0.0:
-        raise DomainError("z is 0/0 at the square")
-    return _z(p, l_value(p), den)
-
-
 def _z(p: QuadParams, lval: float, den: float) -> float:
-    """z from l(p) and z_denominator(p) already in hand."""
+    """z(p) = (S l / (4 sqrt(2) c0) - 1) / z_denominator(p), from l(p) and
+    z_denominator(p) already in hand; 0/0 at the square."""
     return (p.S * lval / (4.0 * math.sqrt(2.0) * p.c0) - 1.0) / den
 
 

@@ -7,9 +7,10 @@ half-area scale S: it is the quadrilateral with vertices
 
 listed counterclockwise.  Its area is always 2S.  The distinguished member
 (0, 0, sqrt(S), S) is the rotated square of side sqrt(2S).  The module also
-provides the piecewise linear maps between the rotated reference square and a
-general member, the pullback inner-product identities those maps satisfy, and
-an approximate Hausdorff distance to the equal-area square.
+provides the piecewise linear map from the rotated reference square onto a
+general member and an approximate Hausdorff distance to the equal-area
+square.  The pullback identities that map satisfies are checked in
+``oracles``.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import integrate_triangles, segment_rule
 from ._records import Record
-from .errors import ContractError, GeometryError, ParameterDomainError
+from .errors import GeometryError, ParameterDomainError
 
 __all__ = [
     "QuadParams",
@@ -32,17 +32,11 @@ __all__ = [
     "PiecewiseLinearMap",
     "quad_vertices",
     "reference_square_vertices",
-    "polygon_area",
-    "polygon_centroid",
-    "edge_endpoints",
     "edge_length",
     "perimeter",
     "interior_angles",
     "is_convex",
     "map_forward",
-    "map_inverse",
-    "pullback_inner_products",
-    "PullbackCheck",
     "hausdorff_distance_to_square",
 ]
 
@@ -84,17 +78,8 @@ class QuadParams(Record):
     def square(cls, S: float = 1.0) -> "QuadParams":
         return cls(0.0, 0.0, math.sqrt(S), S, S)
 
-    def is_square(self, tol: float = 0.0) -> bool:
-        return (
-            abs(self.a1) <= tol
-            and abs(self.a2) <= tol
-            and abs(self.c - self.c0) <= tol
-            and abs(self.S1 - self.S) <= tol
-        )
-
-    def reflected(self) -> "QuadParams":
-        """The mirror image across the x-axis, (a2, a1, c, S2)."""
-        return QuadParams(self.a2, self.a1, self.c, self.S2, self.S)
+    def is_square(self) -> bool:
+        return self.a1 == 0.0 and self.a2 == 0.0 and self.c == self.c0 and self.S1 == self.S
 
 
 @dataclass(frozen=True)
@@ -140,41 +125,6 @@ def quad_vertices(p: QuadParams) -> np.ndarray:
 def _vertex_rows(p: QuadParams) -> list[list[float]]:
     """quad_vertices as rows of Python floats."""
     return [[-p.c, 0.0], [p.a1, p.S1 / p.c], [p.c, 0.0], [p.a2, -p.S2 / p.c]]
-
-
-def _next_vertices(v: np.ndarray) -> np.ndarray:
-    """Coordinate rows (x, y) of each vertex's successor: np.roll(v, -1, 0).T
-    without np.roll's overhead, which dominates at 4 vertices."""
-    return np.concatenate([v[1:], v[:1]]).T
-
-
-def polygon_area(vertices: np.ndarray) -> float:
-    """Signed shoelace area (positive for CCW orientation)."""
-    v = np.asarray(vertices, dtype=float)
-    x, y = v.T
-    x1, y1 = _next_vertices(v)
-    return 0.5 * float(np.dot(x, y1) - np.dot(y, x1))
-
-
-def polygon_centroid(vertices: np.ndarray) -> np.ndarray:
-    v = np.asarray(vertices, dtype=float)
-    x, y = v.T
-    x1, y1 = _next_vertices(v)
-    cross = x * y1 - x1 * y
-    area = 0.5 * cross.sum()
-    cx = np.dot(x + x1, cross) / (6.0 * area)
-    cy = np.dot(y + y1, cross) / (6.0 * area)
-    return np.array([cx, cy])
-
-
-def edge_endpoints(p: QuadParams, e: EdgeId) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints of the boundary segment labelled e, in leg order."""
-    aj = p.a1 if e.j == 1 else p.a2
-    Sj = p.S1 if e.j == 1 else p.S2
-    apex = np.array([aj, Sj / p.c if e.j == 1 else -Sj / p.c])
-    if e.i == 1:
-        return np.array([-p.c, 0.0]), apex
-    return apex, np.array([p.c, 0.0])
 
 
 def edge_length(p: QuadParams, e: EdgeId) -> float:
@@ -298,92 +248,6 @@ def map_forward(p: QuadParams) -> PiecewiseLinearMap:
     return PiecewiseLinearMap(upper, lower)
 
 
-def map_inverse(p: QuadParams) -> PiecewiseLinearMap:
-    """Map from the quadrilateral back onto the reference square."""
-    c0 = p.c0
-    upper = np.array(
-        [[c0 / p.c, -p.a1 * c0 / p.S1], [0.0, p.c * p.S / (c0 * p.S1)]]
-    )
-    lower = np.array(
-        [[c0 / p.c, p.a2 * c0 / p.S2], [0.0, p.c * p.S / (c0 * p.S2)]]
-    )
-    return PiecewiseLinearMap(upper, lower)
-
-
-@dataclass(frozen=True)
-class PullbackCheck:
-    """Both sides of the interior and per-edge pullback identities."""
-
-    interior_lhs: float
-    interior_rhs: float
-    edge_lhs: np.ndarray
-    edge_rhs: np.ndarray
-
-    @property
-    def interior_mismatch(self) -> float:
-        return abs(self.interior_lhs - self.interior_rhs)
-
-    @property
-    def edge_mismatch(self) -> np.ndarray:
-        return np.abs(self.edge_lhs - self.edge_rhs)
-
-
-def pullback_inner_products(
-    p: QuadParams, u, v, order: int = 24, cross_order: int = 31
-) -> PullbackCheck:
-    """Evaluate both sides of the change-of-variables identities numerically.
-
-    Interior:  <u o L, v o L>_{ref square} against
-               (S/S1) <u, v>_{upper half} + (S/S2) <u, v>_{lower half},
-    per edge:  <u, v>_{edge} against (|edge| / |ref edge|) <u o L, v o L>
-               over the matching reference edge.
-
-    ``u`` and ``v`` are callables taking an (k, 2) array of points on the
-    quadrilateral.  The two sides use quadrature rules of different order
-    (``order`` vs ``cross_order``) so the agreement is a genuine check rather
-    than an algebraic identity of one point set.
-    """
-    fwd = map_forward(p)
-    rS = math.sqrt(p.S)
-    ref_upper = [(np.array([-rS, 0.0]), np.array([rS, 0.0]), np.array([0.0, rS]))]
-    ref_lower = [(np.array([-rS, 0.0]), np.array([rS, 0.0]), np.array([0.0, -rS]))]
-
-    def composed(pts):
-        values = u(fwd.apply(pts)) * v(fwd.apply(pts))
-        if not np.all(np.isfinite(values)):
-            raise ContractError("sample functions returned non-finite values")
-        return values
-
-    lhs = integrate_triangles(composed, ref_upper + ref_lower, order=order)
-
-    verts = quad_vertices(p)
-    phys_upper = [(verts[0], verts[2], verts[1])]
-    phys_lower = [(verts[0], verts[2], verts[3])]
-
-    def product(pts):
-        values = u(pts) * v(pts)
-        if not np.all(np.isfinite(values)):
-            raise ContractError("sample functions returned non-finite values")
-        return values
-
-    rhs = (p.S / p.S1) * integrate_triangles(product, phys_upper, order=cross_order)
-    rhs += (p.S / p.S2) * integrate_triangles(product, phys_lower, order=cross_order)
-
-    ref_len = math.sqrt(2.0 * p.S)
-    square = QuadParams.square(p.S)
-    edge_lhs = np.empty(4)
-    edge_rhs = np.empty(4)
-    for k, e in enumerate(EDGE_IDS):
-        q0, q1 = edge_endpoints(p, e)
-        pts, w = segment_rule(q0, q1, cross_order)
-        edge_lhs[k] = float(np.dot(w, product(pts)))
-        r0, r1 = edge_endpoints(square, e)
-        pts0, w0 = segment_rule(r0, r1, order)
-        ratio = edge_length(p, e) / ref_len
-        edge_rhs[k] = ratio * float(np.dot(w0, composed(pts0)))
-    return PullbackCheck(lhs, rhs, edge_lhs, edge_rhs)
-
-
 # (rotation, boundary sample, quad edge) triples per array pass of the
 # sampled search: 512 KiB per complex temporary, whatever the sample count;
 # at 250 samples per edge a pass covers 8 rotations.
@@ -444,9 +308,12 @@ def _quad_frames(q: list, r: float) -> tuple[np.ndarray, bool]:
     complex array (6, 6) whose row k holds four turns, the start and the
     box half-width of frame k.  Row 0 measures the quad's 4 vertices,
     turned by a point of the unit circle, against the square turned by
-    pi/4, the box ``|u|, |v| <= r / sqrt(2)``.  Rows 1-5 measure points
-    against the quad edges of ``_EDGE_START`` / ``_EDGE_END``, repeating
-    their turn 4 times.
+    pi/4, the box ``|u|, |v| <= h``, ``h = r sqrt(1/2)``.  Rows 1-5
+    measure points against the quad edges of ``_EDGE_START`` /
+    ``_EDGE_END``, repeating their turn 4 times.  ``sqrt(1/2)`` rounds to
+    cos(pi/4) as ``_quarter_turn_residues`` rounds it, so the square's own
+    turned vertices lie in the box; ``r / sqrt(2)`` can round an ulp below
+    ``r cos(pi/4)`` and leave them just outside.
 
     The quad is convex when, at every vertex, the sine of the turn from the
     edge in to the edge out, ``(turn_in * conj(turn_out)).imag``, lies below
@@ -454,7 +321,7 @@ def _quad_frames(q: list, r: float) -> tuple[np.ndarray, bool]:
     collinear triples.  A quad that fails it takes the non-convex path,
     which is exact for convex quads too.
     """
-    h = r / math.sqrt(2.0)
+    h = r * math.sqrt(0.5)
     rows = q + [0.0, h]
     turns = []
     for i, j in zip(_EDGE_START, _EDGE_END):
@@ -520,36 +387,6 @@ def _vertex_table(rotations: int, r: float):
 
 
 def _vertex_bounds(frames, rotations: int, r: float, convex: bool):
-    """``_rotation_bounds`` from the frames of ``_quad_frames(q, r)``."""
-    rows = 5 if convex else 6
-    points, units = _vertex_table(rotations, r)
-    w, d = _edge_pass(
-        points[:rows],
-        frames[:rows, :4, None],
-        frames[:rows, 4, None, None],
-        frames[:rows, 5, None, None].real * units[:rows],
-    )
-    # (vertex, residue) arrays throughout: reducing over the short leading
-    # axis is an elementwise pass over rows.  d[0] holds the quad's vertices'
-    # squared distances to the square, d[1:5] the square's vertices' to the
-    # quad's 4 edges.
-    lo = np.maximum(d[0], d[1:5].min(axis=0)).max(axis=0)
-    if convex:
-        return lo, lo
-    # the upper and lower triangles: the least over each one's three edges,
-    # 0 inside it, that is right of its two quad edges and on its side of
-    # the diagonal
-    pieces = np.minimum(d[1:3], d[3:5])
-    np.minimum(pieces, d[5], out=pieces)
-    below = w[1:].imag < 0.0
-    inside = below[0:2] & below[2:4]
-    inside &= below[4] == _BELOW_DIAGONAL
-    np.putmask(pieces, inside, 0.0)
-    edge = np.maximum(pieces, pieces[:, [1, 2, 3, 0]]).min(axis=0)
-    return lo, np.maximum(d[0], edge).max(axis=0)
-
-
-def _rotation_bounds(square, quad, rotations: int, convex: bool):
     """Per rotation theta, bounds ``lo <= F <= hi`` on the squared search value.
 
     F(theta) is the larger of the squared quad -> square distance (exact, at
@@ -557,8 +394,8 @@ def _rotation_bounds(square, quad, rotations: int, convex: bool):
     the square's boundary.  The square and its samples map onto themselves
     under a quarter turn, so F(theta + pi/2) = F(theta), and only the grid's
     residues modulo pi/2 are evaluated (``_quarter_turn_residues``).
-    ``square`` is ``reference_square_vertices(S)``, ``quad`` the centred
-    vertices (4, 2).
+    ``frames`` are ``_quad_frames(q, r)`` of the centred vertices q, ``r``
+    the square's circumradius sqrt(S).
 
     Both directions are one ``_edge_pass`` in complex coordinates:
 
@@ -588,9 +425,32 @@ def _rotation_bounds(square, quad, rotations: int, convex: bool):
     right of the triangle's two quad edges and on its side of the diagonal.
     For a convex quad ``hi`` is ``lo``.
     """
-    r = float(square[2, 0])
-    frames, _ = _quad_frames([complex(x, y) for x, y in quad.tolist()], r)
-    return _vertex_bounds(frames, rotations, r, convex)
+    rows = 5 if convex else 6
+    points, units = _vertex_table(rotations, r)
+    w, d = _edge_pass(
+        points[:rows],
+        frames[:rows, :4, None],
+        frames[:rows, 4, None, None],
+        frames[:rows, 5, None, None].real * units[:rows],
+    )
+    # (vertex, residue) arrays throughout: reducing over the short leading
+    # axis is an elementwise pass over rows.  d[0] holds the quad's vertices'
+    # squared distances to the square, d[1:5] the square's vertices' to the
+    # quad's 4 edges.
+    lo = np.maximum(d[0], d[1:5].min(axis=0)).max(axis=0)
+    if convex:
+        return lo, lo
+    # the upper and lower triangles: the least over each one's three edges,
+    # 0 inside it, that is right of its two quad edges and on its side of
+    # the diagonal
+    pieces = np.minimum(d[1:3], d[3:5])
+    np.minimum(pieces, d[5], out=pieces)
+    below = w[1:].imag < 0.0
+    inside = below[0:2] & below[2:4]
+    inside &= below[4] == _BELOW_DIAGONAL
+    np.putmask(pieces, inside, 0.0)
+    edge = np.maximum(pieces, pieces[:, [1, 2, 3, 0]]).min(axis=0)
+    return lo, np.maximum(d[0], edge).max(axis=0)
 
 
 def _sampled_search(turned, frames, lo, samples_per_edge: int) -> float:
@@ -602,7 +462,7 @@ def _sampled_search(turned, frames, lo, samples_per_edge: int) -> float:
     samples_per_edge) (v_{k+1} - v_k), vertices included, measured against
     the possibly non-convex quad's edges by the vertex pass's
     ``_edge_pass``; ``lo`` already holds the vertices' values, and a sample
-    inside the quad needs no inside test (``_rotation_bounds``).  Rotations
+    inside the quad needs no inside test (``_vertex_bounds``).  Rotations
     are evaluated as arrays, in blocks of about 32k (rotation, sample, quad
     edge) triples, so the temporaries stay small.
     """
@@ -663,7 +523,7 @@ def hausdorff_distance_to_square(
     convexity is read from the turns between the edge directions
     (``_quad_frames``).  Each rotation is then bounded from vertices alone,
     both bounds from one complex array pass over the quad's edges
-    (``_rotation_bounds``).  For a convex quad the bounds coincide, so
+    (``_vertex_bounds``).  For a convex quad the bounds coincide, so
     square -> quad is exact too and no sample is taken.  Otherwise only the
     undecided rotations are sampled, those whose lower bound lies under the
     least upper bound: no other rotation can attain the minimum, so the

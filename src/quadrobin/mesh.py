@@ -13,21 +13,16 @@ are constant per triangle.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ContractError, ParameterDomainError
-from .geometry import EDGE_IDS, EdgeId
 
-__all__ = ["Mesh", "build_mesh", "refine_mesh", "symmetry_permutation"]
+__all__ = ["Mesh", "build_mesh", "refine_mesh"]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-# boundary side order matches EDGE_IDS: (1,1) v=L, (2,1) u=L, (1,2) u=-L, (2,2) v=-L
-_SIDE_OF_EDGE = {e: k for k, e in enumerate(EDGE_IDS)}
 
 
 @dataclass(frozen=True)
@@ -78,43 +73,6 @@ class Mesh:
     @property
     def h(self) -> float:
         return math.sqrt(2.0 * self.S) / self.refinement_level
-
-    @property
-    def boundary_edges(self) -> list[tuple[tuple[int, int], EdgeId]]:
-        return [
-            ((int(a), int(b)), EDGE_IDS[s])
-            for (a, b), s in zip(self.bedge_nodes, self.bedge_side)
-        ]
-
-    def triangle_areas(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-    def to_dict(self) -> dict:
-        return {
-            "refinement_level": self.refinement_level,
-            "S": self.S,
-            "nodes": self.nodes.tolist(),
-            "triangles": self.triangles.tolist(),
-            "boundary_edges": [
-                {"nodes": [int(a), int(b)], "i": EDGE_IDS[s].i, "j": EDGE_IDS[s].j}
-                for (a, b), s in zip(self.bedge_nodes, self.bedge_side)
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    def save_text(self, path) -> None:
-        """Whitespace node/element lists: counts, then nodes, then triangles."""
-        with open(path, "w") as fh:
-            fh.write(f"{len(self.nodes)} {len(self.triangles)}\n")
-            for x, y in self.nodes:
-                fh.write(f"{float(x)!r} {float(y)!r}\n")
-            for i, j, k in self.triangles:
-                fh.write(f"{i} {j} {k}\n")
 
 
 # a cell's corners sw, se, ne, nw in (iu, iv) steps from its sw corner; cell
@@ -245,23 +203,3 @@ def refine_mesh(mesh: Mesh) -> Mesh:
 def _label_key(qu: np.ndarray, qv: np.ndarray, den: int) -> np.ndarray:
     """One integer per label pair (qu, qv) in [-den, den]^2."""
     return (qu + den) * (2 * den + 1) + (qv + den)
-
-
-def symmetry_permutation(mesh: Mesh, which: str) -> np.ndarray:
-    """Node permutation realising a reflection of the square.
-
-    which = "x":    x -> -x        (u, v) -> (v, u)
-    which = "y":    y -> -y        (u, v) -> (-v, -u)
-    which = "swap": (x, y) -> (y, x):  (u, v) -> (u, -v)
-
-    Exact because nodes carry integer (u, v) labels.
-    """
-    if mesh.qu is None:
-        raise ContractError("mesh lacks integer labels")
-    qu, qv, den = mesh.qu, mesh.qv, mesh.q_den
-    images = {"x": (qv, qu), "y": (-qv, -qu), "swap": (qu, -qv)}
-    if which not in images:
-        raise ValueError(f"unknown symmetry {which!r}")
-    ids = np.full((2 * den + 1) ** 2, -1, dtype=np.int64)
-    ids[_label_key(qu, qv, den)] = np.arange(len(qu))
-    return ids[_label_key(*images[which], den)]

@@ -399,7 +399,7 @@ def sensitivity_report(
     """
     mesh = _as_mesh(mesh, p.S)
     if method == "closed_form":
-        if not p.is_square(tol=0.0):
+        if not p.is_square():
             raise ContractError("closed_form method is defined at the square only")
         closed = hessian_at_square_closed_form(alpha, p.S, mesh)
         grad = np.zeros(4)

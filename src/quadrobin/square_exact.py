@@ -12,6 +12,7 @@ f(t) = t tan t on (0, pi/2) when alpha > 0.  All norms of psi then reduce to
 one-dimensional integrals with elementary antiderivatives, so this module
 carries exact values for the quantities the rest of the package consumes:
 lambda1, the L2 normalisation, the boundary trace norm and the gradient norm.
+``oracles.quadrature_norms`` recomputes the norms by quadrature.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import gauss_legendre, interval_rule
 from ._records import Record
 from .errors import DomainError
 
@@ -36,11 +36,6 @@ __all__ = [
     "SquareSolution",
     "solve_square",
     "eval_eigenfunction",
-    "zeta",
-    "dlambda_dalpha",
-    "dlambda_dalpha_chain",
-    "SquareNorms",
-    "quadrature_norms",
 ]
 
 def g(t):
@@ -270,12 +265,6 @@ def _axis_factor(sol: SquareSolution, s):
     return np.cosh(arg) if sol.alpha < 0.0 else np.cos(arg)
 
 
-def _axis_factor_deriv(sol: SquareSolution, s):
-    arg = sol.t_star * np.asarray(s, dtype=float) / sol.L
-    scale = sol.t_star / sol.L
-    return scale * (np.sinh(arg) if sol.alpha < 0.0 else -np.sin(arg))
-
-
 def eval_eigenfunction(sol: SquareSolution, x, y):
     """Normalised eigenfunction at points of the closed square.
 
@@ -291,135 +280,3 @@ def eval_eigenfunction(sol: SquareSolution, x, y):
     v = (y - x) / math.sqrt(2.0)
     value = sol.norm_const * _axis_factor(sol, u) * _axis_factor(sol, v)
     return float(value) if value.ndim == 0 else value
-
-
-def zeta(alpha: float, C: float, S: float = 1.0) -> float:
-    """grad_norm_sq + alpha * C * boundary_norm_sq for the square eigenpair.
-
-    Requires alpha < 0 and C strictly inside (0, 1).  Negative for every
-    alpha < 0 when C >= 1/2 (the closed forms give the sharp criterion
-    sinh(t) cosh(t) (1 - 2C) < t with t = g^{-1}(-alpha L)); for C < 1/2 the
-    value turns positive once |alpha| is large enough.
-    """
-    if not 0.0 < C < 1.0:
-        raise DomainError(f"C must lie in (0, 1), got {C}")
-    if alpha >= 0.0:
-        raise DomainError(f"alpha must be negative, got {alpha}")
-    sol = solve_square(alpha, S)
-    return sol.grad_norm_sq + alpha * C * sol.boundary_norm_sq
-
-
-def dlambda_dalpha(sol: SquareSolution) -> float:
-    """d lambda1 / d alpha, which equals the squared boundary trace norm."""
-    return sol.boundary_norm_sq
-
-
-def dlambda_dalpha_chain(sol: SquareSolution) -> float:
-    """Same derivative through the chain rule on g(L sqrt(-lambda/2)) = -alpha L.
-
-    Differentiating the root equation gives
-        d lambda / d alpha = -2 L lambda / (t g'(t)) = 4 t / (L g'(t)),
-    which agrees with the boundary-trace identity to roundoff.
-    """
-    if sol.alpha >= 0.0:
-        raise DomainError("chain-rule form is defined on the alpha < 0 branch")
-    t = sol.t_star
-    return -2.0 * sol.L * sol.lambda1 / (t * g_prime(t))
-
-
-@dataclass(frozen=True)
-class SquareNorms:
-    """Quadrature evaluations of the norms and half-domain inner products.
-
-    ``edges`` follows the boundary-label order (1,1), (2,1), (1,2), (2,2).
-    The plus/minus suffixes refer to the halves y > 0 and y < 0.
-    """
-
-    l2: float
-    grad: float
-    edges: np.ndarray
-    d1_sq: float
-    d2_sq: float
-    d1d2_plus: float
-    d1d2_minus: float
-    d1_sq_plus: float
-    d1_sq_minus: float
-    d2_sq_plus: float
-    d2_sq_minus: float
-
-
-def _tensor_integral(func, L: float, order: int) -> float:
-    x, w = interval_rule(-L, L, order)
-    uu, vv = np.meshgrid(x, x, indexing="ij")
-    return float(np.einsum("i,j,ij->", w, w, func(uu, vv)))
-
-
-def _half_integral(func, L: float, order: int, upper: bool) -> float:
-    """Integral over the half u + v > 0 (upper) or u + v < 0."""
-    xv, wv = interval_rule(-L, L, order)
-    base, wbase = gauss_legendre(order)
-    total = 0.0
-    for v_node, v_weight in zip(xv, wv):
-        lo, hi = (-v_node, L) if upper else (-L, -v_node)
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        u_nodes = mid + half * base
-        total += v_weight * half * float(np.dot(wbase, func(u_nodes, v_node)))
-    return total
-
-
-def quadrature_norms(sol: SquareSolution, order: int = 32) -> SquareNorms:
-    """Norms of the eigenfunction by tensor Gauss-Legendre in (u, v).
-
-    The eigenfunction separates in the rotated coordinates, so moderate order
-    already reproduces the closed forms to machine precision; this is the
-    independent route used to validate them and the symmetry constants.
-    """
-    N = sol.norm_const
-    A = lambda s: _axis_factor(sol, s)
-    D = lambda s: _axis_factor_deriv(sol, s)
-    L = sol.L
-    sqrt2 = math.sqrt(2.0)
-
-    def psi_sq(u, v):
-        return (N * A(u) * A(v)) ** 2
-
-    def du_sq(u, v):
-        return (N * D(u) * A(v)) ** 2
-
-    def dv_sq(u, v):
-        return (N * A(u) * D(v)) ** 2
-
-    # d1 = (du - dv)/sqrt2, d2 = (du + dv)/sqrt2 in the rotated frame
-    def d1_sq(u, v):
-        return 0.5 * (N * (D(u) * A(v) - A(u) * D(v))) ** 2
-
-    def d2_sq(u, v):
-        return 0.5 * (N * (D(u) * A(v) + A(u) * D(v))) ** 2
-
-    def d1d2(u, v):
-        return 0.5 * ((N * D(u) * A(v)) ** 2 - (N * A(u) * D(v)) ** 2)
-
-    l2 = _tensor_integral(psi_sq, L, order)
-    grad = _tensor_integral(du_sq, L, order) + _tensor_integral(dv_sq, L, order)
-
-    xe, we = interval_rule(-L, L, order)
-    edge_uL = float(np.dot(we, (N * A(L) * A(xe)) ** 2))
-    edge_umL = float(np.dot(we, (N * A(-L) * A(xe)) ** 2))
-    edge_vL = float(np.dot(we, (N * A(xe) * A(L)) ** 2))
-    edge_vmL = float(np.dot(we, (N * A(xe) * A(-L)) ** 2))
-    # boundary labels (1,1), (2,1), (1,2), (2,2) sit on v=L, u=L, u=-L, v=-L
-    edges = np.array([edge_vL, edge_uL, edge_umL, edge_vmL])
-
-    return SquareNorms(
-        l2=l2,
-        grad=grad,
-        edges=edges,
-        d1_sq=_tensor_integral(d1_sq, L, order),
-        d2_sq=_tensor_integral(d2_sq, L, order),
-        d1d2_plus=_half_integral(d1d2, L, order, upper=True),
-        d1d2_minus=_half_integral(d1d2, L, order, upper=False),
-        d1_sq_plus=_half_integral(d1_sq, L, order, upper=True),
-        d1_sq_minus=_half_integral(d1_sq, L, order, upper=False),
-        d2_sq_plus=_half_integral(d2_sq, L, order, upper=True),
-        d2_sq_minus=_half_integral(d2_sq, L, order, upper=False),
-    )

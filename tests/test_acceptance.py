@@ -11,11 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from quadrobin.assembly import (
-
-    boundary_mass_matrices,
-    directional_stiffness,
-)
 from quadrobin.certificates import (
     l_bound_chain,
     l_value,
@@ -23,10 +18,16 @@ from quadrobin.certificates import (
     trial_one_certificate,
 )
 from quadrobin.geometry import QuadParams
-from quadrobin.mesh import build_mesh, symmetry_permutation
+from quadrobin.mesh import build_mesh
+from quadrobin.oracles import (
+    boundary_mass_matrices,
+    directional_stiffness,
+    quadrature_norms,
+    symmetry_permutation,
+)
 from quadrobin.sensitivity import Workspace, hessian_at_square_closed_form, verify_local_max
 from quadrobin.solver import solve_quad
-from quadrobin.square_exact import g, g_inverse, quadrature_norms, solve_square
+from quadrobin.square_exact import g, g_inverse, solve_square
 
 from conftest import random_params
 

@@ -9,11 +9,11 @@ from quadrobin.assembly import (
     affine_combination,
     affine_images,
     assemble_transformed,
-    directional_stiffness,
 )
 from quadrobin.coefficients import PARAMS
 from quadrobin.geometry import QuadParams
 from quadrobin.mesh import build_mesh, refine_mesh
+from quadrobin.oracles import directional_stiffness
 from quadrobin.sensitivity import Workspace
 from quadrobin.solver import solve_quad
 

@@ -12,7 +12,6 @@ from quadrobin.assembly import (
     assemble_direct,
     assemble_plain_mass,
     assemble_transformed,
-    export_coo,
 )
 from quadrobin.certificates import l_value
 from quadrobin.coefficients import coefficient_values
@@ -194,18 +193,6 @@ def test_solve_quad_warning_names_its_callers_line(form):
         warnings.simplefilter("always")
         solve_quad(QuadParams.square(), -24.0, 32, form=form)
     assert [w.filename for w in caught] == [__file__]
-
-
-def test_export_coo(tmp_path, meshes):
-    sys = assemble_transformed(QuadParams.square(), -1.0, meshes(2))
-    path = tmp_path / "matrix.txt"
-    export_coo(sys.stiffness_plus_boundary, path)
-    lines = path.read_text().splitlines()
-    rows, cols, nnz = map(int, lines[0].split())
-    assert rows == cols == sys.dof_count
-    assert nnz == len(lines) - 1
-    r, c, v = lines[1].split()
-    assert sys.stiffness_plus_boundary[int(r), int(c)] == float(v)
 
 
 def test_split_scan_runs_once_per_mesh_and_rejects_a_crossing(monkeypatch):

@@ -22,10 +22,10 @@ from quadrobin.certificates import (
     threshold_conditions,
     trial_one_certificate,
     z_denominator,
-    z_value,
 )
 from quadrobin.errors import DomainError
 from quadrobin.geometry import QuadParams, hausdorff_distance_to_square, perimeter
+from quadrobin.oracles import z_value
 from quadrobin.solver import solve_quad
 
 from conftest import random_params

@@ -10,19 +10,21 @@ from quadrobin.geometry import (
     EDGE_IDS,
     EdgeId,
     QuadParams,
-    edge_endpoints,
     edge_length,
     hausdorff_distance_to_square,
     interior_angles,
     is_convex,
     map_forward,
-    map_inverse,
     perimeter,
+    quad_vertices,
+    reference_square_vertices,
+)
+from quadrobin.oracles import (
+    edge_endpoints,
+    map_inverse,
     polygon_area,
     polygon_centroid,
     pullback_inner_products,
-    quad_vertices,
-    reference_square_vertices,
 )
 
 from conftest import random_params
@@ -204,12 +206,16 @@ def test_closed_form_centroid_matches_the_shoelace_centroid():
         scale = np.abs(v).max()
         got = np.array(geometry._centroid(p))
         assert np.all(np.abs(got - polygon_centroid(v)) <= 1e-15 * scale), p
-    for S in (0.5, 1.0, 2.5):
+    for S in (0.5, 1.0, 2.5, 4.0):
         square = QuadParams.square(S)
         assert geometry._centroid(square) == (0.0, 0.0)
-        # what is left is roundoff: at S = 0.5 and 2.5 the apexes S / sqrt(S)
-        # round an ulp off sqrt(S), and the box half-width sqrt(S) / sqrt(2)
-        # rounds an ulp off the turned vertex sqrt(S) cos(pi/4)
+    # the box half-width sqrt(S) sqrt(1/2) holds the turned vertices exactly
+    for S in (1.0, 4.0):
+        assert hausdorff_distance_to_square(QuadParams.square(S)) == 0.0
+    # what is left is roundoff: at S = 0.5 and 2.5 the apexes S / sqrt(S)
+    # round an ulp off sqrt(S)
+    for S in (0.5, 2.5):
+        square = QuadParams.square(S)
         assert hausdorff_distance_to_square(square) <= 2.0 * math.ulp(square.c)
 
 
@@ -312,8 +318,9 @@ def test_hausdorff_square_is_zero():
 
 def test_hausdorff_reflection_symmetry():
     p = QuadParams(0.8, -0.3, 1.4, 0.7)
+    mirror = QuadParams(p.a2, p.a1, p.c, p.S2, p.S)  # across the x-axis
     d1 = hausdorff_distance_to_square(p, rotations=180, samples_per_edge=200)
-    d2 = hausdorff_distance_to_square(p.reflected(), rotations=180, samples_per_edge=200)
+    d2 = hausdorff_distance_to_square(mirror, rotations=180, samples_per_edge=200)
     assert d1 == pytest.approx(d2, abs=1e-12)
     assert d1 > 0.05
 
@@ -520,6 +527,14 @@ def test_undecided_rotations_are_sampled_and_keep_the_loop_value(sampled_rotatio
     assert abs(got - _loop_hausdorff_reference(p, 180, 250)) <= 1e-12
 
 
+def _rotation_bounds(square, quad, rotations, convex):
+    """``geometry._vertex_bounds`` for the centred vertices ``quad`` (4, 2) and
+    the square ``reference_square_vertices(S)``, as (lo, hi) per residue."""
+    r = float(square[2, 0])
+    frames, _ = geometry._quad_frames([complex(x, y) for x, y in quad.tolist()], r)
+    return geometry._vertex_bounds(frames, rotations, r, convex)
+
+
 def test_vertex_bounds_enclose_each_sampled_rotation():
     rotations, samples_per_edge = 90, 150
     shapes = _oracle_shapes(np.random.default_rng(11), 16) + [_SAMPLED_SHAPE]
@@ -528,7 +543,7 @@ def test_vertex_bounds_enclose_each_sampled_rotation():
     square_samples = _sample_boundary(square, samples_per_edge)
     for p in shapes:
         quad = quad_vertices(p) - polygon_centroid(quad_vertices(p))
-        lo, hi = geometry._rotation_bounds(square, quad, rotations, is_convex(p))
+        lo, hi = _rotation_bounds(square, quad, rotations, is_convex(p))
         to_x = geometry._quarter_turn_residues(rotations)[1, 0]
         angles = np.arctan2(to_x[:, 1], to_x[:, 0])
         quad_samples = _sample_boundary(quad, samples_per_edge)
@@ -553,7 +568,7 @@ def test_rotation_bounds_evaluate_one_angle_per_quarter_turn_residue(rotations, 
     to_x, to_y = geometry._quarter_turn_residues(rotations)[1]
     assert to_x.shape == to_y.shape == (residues, 2)
     for convex in (True, False):
-        lo, hi = geometry._rotation_bounds(square, quad, rotations, convex)
+        lo, hi = _rotation_bounds(square, quad, rotations, convex)
         assert lo.shape == hi.shape == (residues,)
     angles = np.arctan2(to_x[:, 1], to_x[:, 0])
     assert np.all((0.0 <= angles) & (angles < 0.5 * math.pi))
@@ -722,8 +737,8 @@ def test_search_convexity_matches_is_convex():
     for p in [p for p in shapes if is_convex(p)][:40]:
         square = reference_square_vertices(p.S)
         quad = quad_vertices(p) - polygon_centroid(quad_vertices(p))
-        fast, _ = geometry._rotation_bounds(square, quad, 180, True)
-        lo, hi = geometry._rotation_bounds(square, quad, 180, False)
+        fast, _ = _rotation_bounds(square, quad, 180, True)
+        lo, hi = _rotation_bounds(square, quad, 180, False)
         assert np.all(np.abs(lo - fast) <= 4 * np.spacing(fast)), p
         assert abs(hi.min() - fast.min()) <= 4 * np.spacing(fast.min()), p
 
@@ -849,7 +864,7 @@ def test_fused_vertex_bounds_match_the_two_call_composition(rotations):
         square = reference_square_vertices(p.S)
         quad = quad_vertices(p) - polygon_centroid(quad_vertices(p))
         for convex in {is_convex(p), False}:
-            lo, hi = geometry._rotation_bounds(square, quad, rotations, convex)
+            lo, hi = _rotation_bounds(square, quad, rotations, convex)
             to_x, to_y = geometry._quarter_turn_residues(rotations)[1]
             want_lo, want_hi = _two_call_bounds(square, quad, to_x, to_y, convex)
             assert np.all(np.abs(lo - want_lo) <= 1e-12 * np.maximum(1.0, want_lo)), p

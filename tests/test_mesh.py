@@ -1,13 +1,13 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
 import pytest
 
+from quadrobin.assembly import _triangle_geometry
 from quadrobin.errors import ParameterDomainError
-from quadrobin.geometry import EDGE_IDS
-from quadrobin.mesh import build_mesh, refine_mesh, symmetry_permutation
+from quadrobin.mesh import build_mesh, refine_mesh
+from quadrobin.oracles import symmetry_permutation
 
 
 def test_rejects_bad_arguments():
@@ -94,7 +94,7 @@ def test_no_triangle_crosses_the_axis():
 def test_triangle_areas_positive_and_congruent():
     for n in (2, 6):
         m = build_mesh(n)
-        areas = m.triangle_areas()
+        areas, _ = _triangle_geometry(m.nodes, m.triangles)
         assert np.all(areas > 0)
         assert areas.sum() == pytest.approx(2.0, rel=1e-13)
         assert np.ptp(areas) <= 1e-14 * areas.max()  # crisscross: all congruent
@@ -115,7 +115,6 @@ def test_boundary_edges_sit_on_their_labelled_segment():
         assert sel.sum() == 6
         mids = m.nodes[m.bedge_nodes[sel]].mean(axis=1)
         assert np.max(np.abs(constraint[side](mids))) <= 1e-14
-    assert [e for (_, e) in m.boundary_edges[:1]][0] in EDGE_IDS
 
 
 def test_refine_is_nested_and_symmetric():
@@ -130,21 +129,7 @@ def test_refine_is_nested_and_symmetric():
     for which in ("x", "y", "swap"):
         perm = symmetry_permutation(r, which)
         assert len(np.unique(perm)) == r.dof_count
-    areas = r.triangle_areas()
+    areas, _ = _triangle_geometry(r.nodes, r.triangles)
     assert np.all(areas > 0)
     assert areas.sum() == pytest.approx(2.0, rel=1e-13)
 
-
-def test_mesh_export_roundtrip(tmp_path):
-    m = build_mesh(3)
-    data = json.loads(m.to_json())
-    assert data["refinement_level"] == 3
-    assert len(data["nodes"]) == m.dof_count
-    assert len(data["triangles"]) == len(m.triangles)
-    assert {(d["i"], d["j"]) for d in data["boundary_edges"]} == {
-        (e.i, e.j) for e in EDGE_IDS
-    }
-    path = tmp_path / "mesh.txt"
-    m.save_text(path)
-    first = path.read_text().splitlines()[0].split()
-    assert [int(first[0]), int(first[1])] == [m.dof_count, len(m.triangles)]

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from quadrobin.mesh import build_mesh, refine_mesh, symmetry_permutation
+from quadrobin.mesh import build_mesh, refine_mesh
+from quadrobin.oracles import symmetry_permutation
 
 
 def _loop_reference(n, qu, qv):

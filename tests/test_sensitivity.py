@@ -10,7 +10,8 @@ from quadrobin.cli import main
 from quadrobin.coefficients import PARAMS, coefficient_values, first_tables, second_tables
 from quadrobin.errors import ConditioningError, ContractError, DomainError, EigenSolveError
 from quadrobin.geometry import QuadParams
-from quadrobin.mesh import refine_mesh, symmetry_permutation
+from quadrobin.mesh import refine_mesh
+from quadrobin.oracles import quadrature_norms, symmetry_permutation
 from quadrobin.sensitivity import (
     SensitivityReport,
     Workspace,
@@ -20,7 +21,7 @@ from quadrobin.sensitivity import (
     verify_local_max,
 )
 from quadrobin.solver import solve_quad
-from quadrobin.square_exact import quadrature_norms, solve_square
+from quadrobin.square_exact import solve_square
 GENERIC = QuadParams(0.3, -0.1, 1.2, 0.9)
 # ---------------------------------------------------------------------------
 # coefficient tables
@@ -204,7 +205,7 @@ def test_nelson_derivatives_match_bordered_reference(rng, meshes):
         ws = Workspace(solve_quad(p, alpha, mesh))
         first = [_assembled_first(ws, v) for v in PARAMS]
         assert np.abs(ws.gradient() - first).max() <= 1e-12 * max(1.0, abs(ws.lam))
-        if p.is_square(tol=0.0):
+        if p.is_square():
             # argmax |psi| is a 4-way tie between the corners
             top = np.abs(ws.psi)
             assert np.sum(top >= top.max() * (1.0 - 1e-9)) >= 4

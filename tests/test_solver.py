@@ -9,11 +9,11 @@ from quadrobin.assembly import (
     assemble_direct,
     assemble_plain_mass,
     assemble_transformed,
-    directional_stiffness,
 )
 from quadrobin.errors import ContractError, DomainError, EigenSolveError
 from quadrobin.geometry import QuadParams
-from quadrobin.mesh import build_mesh, refine_mesh, symmetry_permutation
+from quadrobin.mesh import build_mesh, refine_mesh
+from quadrobin.oracles import directional_stiffness, symmetry_permutation
 from quadrobin.solver import _shifted, rayleigh, safe_shift, solve_lowest, solve_quad
 from quadrobin.square_exact import eval_eigenfunction, solve_square
 

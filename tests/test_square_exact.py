@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 
 from quadrobin.errors import DomainError
+from quadrobin.oracles import dlambda_dalpha_chain, quadrature_norms, zeta
 from quadrobin.square_exact import (
     SquareSolution,
-    dlambda_dalpha,
-    dlambda_dalpha_chain,
     eval_eigenfunction,
     f,
     f_inverse,
     g,
     g_inverse,
-    quadrature_norms,
     solve_square,
-    zeta,
 )
 
 
@@ -319,8 +316,7 @@ def test_zeta_domain_errors():
 def test_dlambda_dalpha_identities():
     for alpha in (-0.1, -1.0, -10.0):
         sol = solve_square(alpha, 1.0)
-        assert dlambda_dalpha(sol) == sol.boundary_norm_sq
-        assert dlambda_dalpha(sol) > 0.0
+        assert sol.boundary_norm_sq > 0.0
         assert dlambda_dalpha_chain(sol) == pytest.approx(
             sol.boundary_norm_sq, abs=1e-9, rel=1e-12
         )
@@ -332,7 +328,7 @@ def test_dlambda_dalpha_matches_finite_difference():
     for alpha in (-0.5, -2.0):
         sol = solve_square(alpha, 1.0)
         fd = (solve_square(alpha + h).lambda1 - solve_square(alpha - h).lambda1) / (2 * h)
-        assert dlambda_dalpha(sol) == pytest.approx(fd, rel=1e-7)
+        assert sol.boundary_norm_sq == pytest.approx(fd, rel=1e-7)
         assert dlambda_dalpha_chain(sol) == pytest.approx(fd, rel=1e-7)
 
 
@@ -341,4 +337,4 @@ def test_dlambda_dalpha_neumann_limit():
     for S in (1.0, 2.0):
         sol = solve_square(-1e-7, S)
         expected = 4.0 * math.sqrt(2.0 * S) / (2.0 * S)
-        assert dlambda_dalpha(sol) == pytest.approx(expected, rel=1e-5)
+        assert sol.boundary_norm_sq == pytest.approx(expected, rel=1e-5)
