@@ -6,7 +6,7 @@ Modules by concern:
                      distance to the equal-area square
 - ``square_exact``:  closed-form first eigenpair on the rotated square
 - ``mesh``:          symmetric crisscross triangulation of the square
-- ``assembly``:      pullback / direct / plain-mass finite-element forms
+- ``assembly``:      pullback / direct finite-element forms
 - ``solver``:        lowest-eigenpair solves for the assembled pencils
 - ``sensitivity``:   eigenvalue gradients and Hessians in (a1, a2, c, S1)
 - ``certificates``:  closed-form comparison certificates against the square

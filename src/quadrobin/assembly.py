@@ -15,7 +15,7 @@ hand-made mesh or a ``dataclasses.replace`` copy) takes the generic builder,
 which sorts all pattern keys and computes each triangle's geometry, with
 up to one table row per slot; it is also the stencil's test oracle.
 
-Three assemblies of the same spectral problem are provided.
+Two assemblies of the same spectral problem are provided.
 
 ``assemble_transformed``
     The pullback of the Robin form through the piecewise linear map, with the
@@ -30,17 +30,8 @@ Three assemblies of the same spectral problem are provided.
     pushed forward through the map.  Shares no coefficient formulas with the
     transformed route; agreement between the two is a real cross-check.
 
-``assemble_plain_mass``
-    The pullback form in its plain-mass normalisation: interior coefficient
-    Ginv_j, boundary weight alpha * S * |edge| / (Sj * |ref edge|), unweighted
-    mass.  For S1 = S it coincides entrywise with the transported system
-    (weights are 1), in particular on the square.  For S1 != S it is a
-    different pencil: the plain-mass normalisation hides a weight jump across
-    y = 0, and its lowest eigenvalue differs from the quadrilateral's, on
-    either side.  At alpha = -1 it lies below it for (0.3, -0.2, 1.3, 0.55)
-    and above it for (0, -0.13, 0.74, 0.75).
-    It is exposed because several closed-form identities (for instance the
-    all-ones Rayleigh quotient (alpha/2) * l(p)) are identities of this form.
+The pullback's plain-mass normalisation (unweighted mass), a different
+pencil off the slice S1 = S, is ``oracles.assemble_plain_mass``.
 """
 
 from __future__ import annotations
@@ -65,7 +56,6 @@ __all__ = [
     "BoundaryLayerWarning",
     "assemble_transformed",
     "assemble_direct",
-    "assemble_plain_mass",
     "affine_blocks",
     "affine_combination",
     "affine_images",
@@ -86,7 +76,7 @@ class AssembledSystem:
     params: QuadParams
     alpha: float
     mesh: Mesh
-    kind: str  # "transformed" | "direct" | "plain"
+    kind: str  # "transformed" | "direct" ("plain" from oracles.assemble_plain_mass)
 
 
 def _respects_split(mesh: Mesh) -> bool:
@@ -109,13 +99,14 @@ def _check_mesh(p: QuadParams, alpha: float, mesh: Mesh) -> None:
         raise ContractError("mesh has triangles crossing the line y = 0")
 
 
-def _warn_boundary_layer(p: QuadParams, alpha: float, mesh: Mesh, stacklevel: int = 3) -> None:
+def _warn_boundary_layer(p: QuadParams, alpha: float, mesh: Mesh) -> None:
+    """Warn, naming the line that called this function's caller."""
     if abs(alpha) * math.sqrt(2.0 * p.S) > 30.0 and mesh.h > 0.2 / abs(alpha):
         warnings.warn(
             f"mesh size h={mesh.h:.3g} does not resolve the boundary layer "
             f"width ~{1.0 / abs(alpha):.3g}; refine to h <= {0.2 / abs(alpha):.3g}",
             BoundaryLayerWarning,
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
 
 
@@ -398,18 +389,6 @@ def _pencil_weights(alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return wK, np.tile([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 2)
 
 
-def _assemble_pullback(p, alpha, mesh, transported: bool, kind: str) -> AssembledSystem:
-    _check_mesh(p, alpha, mesh)
-    # one frame deeper than assemble_direct's call: attributed to the caller
-    # of assemble_transformed or assemble_plain_mass
-    _warn_boundary_layer(p, alpha, mesh, stacklevel=4)
-    w = coefficient_values(p, transported)
-    wK, wM = _pencil_weights(alpha)
-    K = affine_combination(mesh, w * wK)
-    M = affine_combination(mesh, w * wM)
-    return AssembledSystem(K, M, mesh.dof_count, p, alpha, mesh, kind)
-
-
 def assemble_transformed(p: QuadParams, alpha: float, mesh: Mesh) -> AssembledSystem:
     """Pullback assembly on the reference square (unitary normalisation).
 
@@ -419,12 +398,13 @@ def assemble_transformed(p: QuadParams, alpha: float, mesh: Mesh) -> AssembledSy
     square.  Generalized eigenvalues agree with ``assemble_direct`` to
     roundoff on the matched mesh.
     """
-    return _assemble_pullback(p, alpha, mesh, transported=True, kind="transformed")
-
-
-def assemble_plain_mass(p: QuadParams, alpha: float, mesh: Mesh) -> AssembledSystem:
-    """Pullback assembly in the plain-mass normalisation (see module docs)."""
-    return _assemble_pullback(p, alpha, mesh, transported=False, kind="plain")
+    _check_mesh(p, alpha, mesh)
+    _warn_boundary_layer(p, alpha, mesh)
+    w = coefficient_values(p)
+    wK, wM = _pencil_weights(alpha)
+    K = affine_combination(mesh, w * wK)
+    M = affine_combination(mesh, w * wM)
+    return AssembledSystem(K, M, mesh.dof_count, p, alpha, mesh, "transformed")
 
 
 def assemble_direct(p: QuadParams, alpha: float, mesh: Mesh) -> AssembledSystem:

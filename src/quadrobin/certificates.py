@@ -157,7 +157,7 @@ def trial_one_certificate(p: QuadParams, alpha: float) -> Certificate:
     """Constant-trial certificate: fires when (alpha/2) l(p) < lambda(square).
 
     (alpha/2) l(p) is the Rayleigh quotient of the constant trial state in
-    the plain-mass pullback form (``assembly.assemble_plain_mass``), so it
+    the plain-mass pullback form (``oracles.assemble_plain_mass``), so it
     bounds that pencil's lowest eigenvalue from above.  That pencil is the
     quadrilateral's only when S1 = S; there beating the exact square value
     certifies the comparison.  Off that slice the plain-mass eigenvalue can
@@ -260,7 +260,7 @@ class Thresholds(Record):
     fired_checks: dict
 
 
-def parameter_thresholds(alpha: float, S: float = 1.0, verify: bool = True) -> Thresholds:
+def parameter_thresholds(alpha: float, S: float = 1.0) -> Thresholds:
     """Thresholds A, c1, c2, S_tilde for conditions (I)-(VI) at this alpha.
 
     Derived by inverting the elementary lower bounds on l:
@@ -289,27 +289,21 @@ def parameter_thresholds(alpha: float, S: float = 1.0, verify: bool = True) -> T
     if S_tilde is not None and S_tilde >= 2.0 * S:
         S_tilde = None
 
-    fired = {}
-    if verify:
-        c0 = math.sqrt(S)
-        probes = {"I": QuadParams(1.01 * A, 0.0, c0, S, S)}
-        if c1 is not None:
-            probes["III"] = QuadParams(0.0, 0.0, 1.01 * c1, S, S)
-        if c2 is not None:
-            probes["IV"] = QuadParams(0.0, 0.0, 0.99 * c2, S, S)
-        if S_tilde is not None:
-            probes["V"] = QuadParams(0.0, 0.0, c0, 0.99 * S_tilde, S)
-            probes["VI"] = QuadParams(0.0, 0.0, c0, 2.0 * S - 0.99 * S_tilde, S)
-        fired = {
-            name: trial_one_certificate(probe, alpha).certified
-            for name, probe in probes.items()
-        }
+    c0 = math.sqrt(S)
+    probes = {"I": QuadParams(1.01 * A, 0.0, c0, S, S)}
+    if c1 is not None:
+        probes["III"] = QuadParams(0.0, 0.0, 1.01 * c1, S, S)
+    if c2 is not None:
+        probes["IV"] = QuadParams(0.0, 0.0, 0.99 * c2, S, S)
+    if S_tilde is not None:
+        probes["V"] = QuadParams(0.0, 0.0, c0, 0.99 * S_tilde, S)
+        probes["VI"] = QuadParams(0.0, 0.0, c0, 2.0 * S - 0.99 * S_tilde, S)
+    fired = {name: trial_one_certificate(probe, alpha).certified for name, probe in probes.items()}
     return Thresholds(alpha, S, q, A, c1, c2, S_tilde, fired)
 
 
-def threshold_conditions(p: QuadParams, alpha: float, thresholds: Thresholds | None = None) -> list[str]:
-    """Which of the conditions (I)-(VI) hold for p at this alpha."""
-    th = thresholds or parameter_thresholds(alpha, p.S, verify=False)
+def threshold_conditions(p: QuadParams, alpha: float, th: Thresholds) -> list[str]:
+    """Which of the conditions (I)-(VI) hold for p, given ``parameter_thresholds(alpha, p.S)``."""
     fired = []
     if abs(p.a1) > th.A:
         fired.append("I")
@@ -335,7 +329,7 @@ def hausdorff_threshold(alpha: float, S: float = 1.0) -> float:
     bound combines the worst vertex norm, the square's circumradius and the
     largest possible centroid shift.  Conservative by construction.
     """
-    th = parameter_thresholds(alpha, S, verify=False)
+    th = parameter_thresholds(alpha, S)
     if th.c1 is None or th.c2 is None or th.S_tilde is None:
         raise DomainError("thresholds unavailable; cannot compose a radius")
     y_max = (2.0 * S - th.S_tilde) / th.c2
@@ -357,21 +351,18 @@ def certify_all(p: QuadParams, alpha: float) -> list[Certificate]:
     ]
 
 
-def empirical_small_alpha_crossover(
-    p: QuadParams, alphas=None
-) -> dict:
+# empirical_small_alpha_crossover's grid, most negative first: -10 .. -1e-4
+_CROSSOVER_ALPHAS = np.sort(-np.logspace(-4, 1, 51))
+
+
+def empirical_small_alpha_crossover(p: QuadParams) -> dict:
     """Most negative grid alpha where each alpha-dependent certificate fires.
 
     The certificates fire on an interval (alpha_c, 0); the reported values
     are empirical grid estimates of alpha_c, not closed-form constants.
     """
-    if alphas is None:
-        alphas = -np.logspace(-4, 1, 51)
-    alphas = np.sort(np.asarray(alphas, dtype=float))  # most negative first
     out = {"small_alpha": None, "trial_one": None}
-    for a in alphas:
-        if a >= 0.0:
-            continue
+    for a in _CROSSOVER_ALPHAS:
         if out["small_alpha"] is None and small_alpha_certificate(p, a).certified:
             out["small_alpha"] = float(a)
         if out["trial_one"] is None and trial_one_certificate(p, a).certified:

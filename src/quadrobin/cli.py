@@ -2,12 +2,15 @@
 
 Artifacts are JSON (with a schema_version field and the full resolved
 configuration echoed back) or RFC-4180-style CSV with a header row.  All
-outputs are deterministic for a fixed configuration and QUADROBIN_THREADS=1;
-sweep rows are always emitted in grid order regardless of worker completion
-order.  Validation failures exit with status 2 and a machine-readable error
-object on stderr; numerical failures (a solver failure, or an overflow or
-division by zero on extreme but finite inputs) exit with status 3; verification
-commands exit 0 only if every requested check passes.
+outputs are deterministic for a fixed configuration and BLAS thread count
+(OPENBLAS_NUM_THREADS, read when numpy loads): finite-element values move in
+their last bits with the BLAS threads, not with QUADROBIN_THREADS, which only
+sizes the sweep's worker pool.  Sweep rows are always emitted in grid order
+regardless of worker completion order.  Validation failures exit with status
+2 and a machine-readable error object on stderr; numerical failures (a solver
+failure, or an overflow or division by zero on extreme but finite inputs)
+exit with status 3; verification commands exit 0 only if every requested
+check passes.
 """
 
 from __future__ import annotations
@@ -177,13 +180,8 @@ def _cmd_solve_quad(cfg: RunConfig):
     }
 
 
-def _cmd_gradient(cfg: RunConfig):
-    method = cfg.method if cfg.method != "closed_form" else "discrete_formula"
-    report = sensitivity_report(cfg.params(), cfg.alpha, cfg.mesh, method=method)
-    return 0, {"report": report.to_dict()}
-
-
-def _cmd_hessian(cfg: RunConfig):
+def _cmd_sensitivity(cfg: RunConfig):
+    """gradient and hessian: one report, by the method asked for."""
     report = sensitivity_report(cfg.params(), cfg.alpha, cfg.mesh, method=cfg.method)
     return 0, {"report": report.to_dict()}
 
@@ -320,8 +318,8 @@ def _cmd_verify_theorem3(cfg: RunConfig):
 _HANDLERS = {
     "solve-square": _cmd_solve_square,
     "solve-quad": _cmd_solve_quad,
-    "gradient": _cmd_gradient,
-    "hessian": _cmd_hessian,
+    "gradient": _cmd_sensitivity,
+    "hessian": _cmd_sensitivity,
     "certify": _cmd_certify,
     "sweep": _cmd_sweep,
     "verify-theorem1": _cmd_verify_theorem1,

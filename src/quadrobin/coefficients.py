@@ -103,12 +103,6 @@ def second_tables(p: QuadParams) -> np.ndarray:
     return _tables(p)[2]
 
 
-def coefficient_values(p: QuadParams, transported: bool = True) -> np.ndarray:
-    """Every assembly coefficient at p, (12,).
-
-    The plain-mass normalisation divides each half's coefficients by its mass
-    weight Sj/S: interior Dinv Dinv^T, boundary S |edge| / (Sj |ref edge|),
-    unit mass.
-    """
-    w = _tables(p)[0]
-    return w if transported else np.concatenate([w[:6] / w[3], w[6:] / w[9]])
+def coefficient_values(p: QuadParams) -> np.ndarray:
+    """Every assembly coefficient at p, (12,)."""
+    return _tables(p)[0]

@@ -10,7 +10,8 @@ second route: quadrature, shoelace sums, explicit integer relabelling.
   piecewise linear map and both sides of the pullback identities;
 - the square: its norms by tensor quadrature, zeta and d lambda / d alpha
   by the chain rule on the root equation;
-- assembly: the directional stiffness forms and the unit boundary masses;
+- assembly: the directional stiffness forms, the unit boundary masses and
+  the plain-mass pullback pencil, home of the constant-trial bound;
 - mesh: the node permutations of the square's reflections;
 - certificates: z(p).
 """
@@ -24,8 +25,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .assembly import _EDGE_W, _stiffness_from, affine_combination
+from .assembly import (
+    _EDGE_W, AssembledSystem, _check_mesh, _pencil_weights, _stiffness_from, affine_combination
+)
 from .certificates import _z, l_value, z_denominator
+from .coefficients import coefficient_values
 from .errors import ContractError, DomainError
 from .geometry import (
     EDGE_IDS,
@@ -58,6 +62,8 @@ __all__ = [
     "dlambda_dalpha_chain",
     "SquareNorms",
     "quadrature_norms",
+    "plain_coefficient_values",
+    "assemble_plain_mass",
     "boundary_mass_matrices",
     "directional_stiffness",
     "symmetry_permutation",
@@ -393,6 +399,29 @@ def quadrature_norms(sol: SquareSolution, order: int = 32) -> SquareNorms:
 
 
 # -- assembly and mesh ---------------------------------------------------------
+
+
+def plain_coefficient_values(p: QuadParams) -> np.ndarray:
+    """The plain-mass coefficients at p, (12,): each half's ``coefficient_values``
+    over its mass weight Sj/S, so interior Dinv Dinv^T, boundary S |edge| /
+    (Sj |ref edge|), unit mass."""
+    w = coefficient_values(p)
+    return np.concatenate([w[:6] / w[3], w[6:] / w[9]])
+
+
+def assemble_plain_mass(p: QuadParams, alpha: float, mesh: Mesh) -> AssembledSystem:
+    """The pullback form with ``plain_coefficient_values``: unweighted mass.
+
+    For S1 = S it is ``assembly.assemble_transformed`` entrywise (the weights
+    are 1).  Off that slice it hides a weight jump across y = 0, and its
+    lowest eigenvalue differs from the quadrilateral's, on either side: at
+    alpha = -1 it lies below for (0.3, -0.2, 1.3, 0.55) and above for (0,
+    -0.13, 0.74, 0.75).  Its all-ones Rayleigh quotient is (alpha/2) l(p).
+    """
+    _check_mesh(p, alpha, mesh)
+    w = plain_coefficient_values(p)
+    K, M = (affine_combination(mesh, w * mask) for mask in _pencil_weights(alpha))
+    return AssembledSystem(K, M, mesh.dof_count, p, alpha, mesh, "plain")
 
 
 def boundary_mass_matrices(mesh: Mesh) -> list[sp.csr_matrix]:

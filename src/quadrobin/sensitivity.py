@@ -61,6 +61,8 @@ __all__ = [
 ]
 
 _MIN_GAP = 1e-8
+_FD_STEP = 1e-4  # fd_gradient's central-difference step, relative to max(1, |v|)
+_FD_HESSIAN_STEP = 5e-3  # fd_hessian's stencil step, likewise
 
 
 def _as_mesh(mesh: Mesh | int, S: float) -> Mesh:
@@ -201,23 +203,23 @@ def _lambda_of(p: QuadParams, alpha: float, mesh: Mesh) -> float:
     return solve_quad(p, alpha, mesh).lambda_h
 
 
-def fd_gradient(p: QuadParams, alpha: float, mesh: Mesh | int, rel_step: float = 1e-4) -> np.ndarray:
+def fd_gradient(p: QuadParams, alpha: float, mesh: Mesh | int) -> np.ndarray:
     """Central-difference gradient oracle on the same mesh."""
     mesh = _as_mesh(mesh, p.S)
     out = np.empty(4)
     for k, v in enumerate(PARAMS):
-        h = rel_step * max(1.0, abs(getattr(p, v)))
+        h = _FD_STEP * max(1.0, abs(getattr(p, v)))
         lp = _lambda_of(_perturbed(p, v, +h), alpha, mesh)
         lm = _lambda_of(_perturbed(p, v, -h), alpha, mesh)
         out[k] = (lp - lm) / (2.0 * h)
     return out
 
 
-def fd_hessian(p: QuadParams, alpha: float, mesh: Mesh | int, rel_step: float = 5e-3) -> np.ndarray:
+def fd_hessian(p: QuadParams, alpha: float, mesh: Mesh | int) -> np.ndarray:
     """Finite-difference Hessian oracle: 5-point diagonal, cross stencil mixed."""
     mesh = _as_mesh(mesh, p.S)
     lam0 = _lambda_of(p, alpha, mesh)
-    steps = [rel_step * max(1.0, abs(getattr(p, v))) for v in PARAMS]
+    steps = [_FD_HESSIAN_STEP * max(1.0, abs(getattr(p, v))) for v in PARAMS]
     H = np.empty((4, 4))
     for i, v in enumerate(PARAMS):
         h = steps[i]

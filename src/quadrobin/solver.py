@@ -24,7 +24,7 @@ The strategy here is
    corner cluster (the square at alpha = -40) also reaches and which Nelson's
    eigenvector derivatives need (their residual check amplifies the pair's by
    ||psi_v|| / |psi_k|), or after 400 solves.  EigenSolveError unless the
-   pair then has ||(K - lambda M) psi|| <= tol * ||K||_inf.
+   pair then has ||(K - lambda M) psi|| <= _TOL * ||K||_inf, _TOL = 1e-10.
 
 Both factorisations of a sparse solve path, the certified shift's and
 Nelson's reduced one in ``sensitivity``, go through ``_symmetric_lu``:
@@ -65,7 +65,6 @@ from .assembly import (
     BoundaryLayerWarning,
     _warn_boundary_layer,
     assemble_direct,
-    assemble_plain_mass,
     assemble_transformed,
 )
 from .certificates import asymptotic_constant
@@ -78,16 +77,13 @@ if TYPE_CHECKING:  # scipy loads on first use, in the functions that call it
 
 __all__ = ["EigenPair", "EigenState", "rayleigh", "safe_shift", "solve_lowest", "solve_quad"]
 
-_ASSEMBLERS = {
-    "transformed": assemble_transformed,
-    "direct": assemble_direct,
-    "plain": assemble_plain_mass,
-}
+_ASSEMBLERS = {"transformed": assemble_transformed, "direct": assemble_direct}
 
 _COARSE_LEVEL = 8  # solve_quad's coarse companion mesh
 _BASIS = 20  # Lanczos vectors held before a restart, like ARPACK's ncv
 _MAX_SOLVES = 400  # Lanczos factor solves before its last pair is checked as it is
 _PANEL = 2  # SuperLU panel size (columns per panel): measured, see the module docstring
+_TOL = 1e-10  # a returned pair has ||(K - lambda M) psi|| <= _TOL * ||K||_inf
 
 
 @dataclass
@@ -221,14 +217,13 @@ def _count_eigenvalues_below(K, M, sigma: float):
     return below, lu
 
 
-def _dense_lowest(system: AssembledSystem, k: int = 2):
+def _dense_lowest(system: AssembledSystem):
+    """The two lowest eigenpairs (every mesh has 3 nodes or more), by dense eigh."""
     import scipy.linalg as dla
 
     K = system.stiffness_plus_boundary.toarray()
     M = system.mass.toarray()
-    k = min(k, K.shape[0])
-    vals, vecs = dla.eigh(K, M, subset_by_index=[0, k - 1])
-    return vals, vecs
+    return dla.eigh(K, M, subset_by_index=[0, 1])
 
 
 def _inf_norm(A: sp.csr_matrix) -> float:
@@ -237,11 +232,11 @@ def _inf_norm(A: sp.csr_matrix) -> float:
     return float(np.add.reduceat(np.abs(A.data), starts).max()) if len(starts) else 0.0
 
 
-def _checked_pair(system, tol, lam, v, iterations, method, shift=None, solves=0) -> EigenPair:
-    """The M-normalised pair, if ||(K - lam M) v|| <= tol * ||K||_inf holds;
+def _checked_pair(system, lam, v, iterations, method, shift=None, solves=0) -> EigenPair:
+    """The M-normalised pair, if ||(K - lam M) v|| <= _TOL * ||K||_inf holds;
     otherwise EigenSolveError with the residual, its target and lam."""
     K, M = system.stiffness_plus_boundary, system.mass
-    target = tol * _inf_norm(K)
+    target = _TOL * _inf_norm(K)
     v = _normalize(v, M)
     res = float(np.linalg.norm(K @ v - lam * (M @ v)))
     if not res <= target:  # a NaN residual fails too
@@ -287,13 +282,11 @@ def _lanczos(K, M, lu) -> tuple[np.ndarray, int]:
             H[:], H[:2, :2], j = 0.0, np.diag(theta[-2:]), 2
 
 
-def solve_lowest(
-    system: AssembledSystem, shift: float | None = None, tol: float = 1e-10
-) -> EigenPair:
+def solve_lowest(system: AssembledSystem, shift: float | None = None) -> EigenPair:
     """Smallest generalized eigenvalue and M-normalised eigenvector.
 
     The eigenvector is scaled to psi^T M psi = 1 with positive mean and
-    satisfies ||(K - lambda M) psi|| <= tol * ||K||.  ``shift`` should lie
+    satisfies ||(K - lambda M) psi|| <= _TOL * ||K||_inf.  ``shift`` should lie
     below the lowest eigenvalue (see ``safe_shift``); if omitted, one is
     derived from the system's own parameters.  Shift-invert Lanczos runs on
     the factorisation that certifies the shift until its top Ritz pair is at
@@ -322,16 +315,10 @@ def solve_lowest(
     v, solves = _lanczos(K, M, lu)
     del lu  # the factor before the checks
     lam = rayleigh(system, v)
-    return _checked_pair(system, tol, lam, v, attempt + 1, "lanczos-shift-invert", sigma, solves)
+    return _checked_pair(system, lam, v, attempt + 1, "lanczos-shift-invert", sigma, solves)
 
 
-def solve_quad(
-    p: QuadParams,
-    alpha: float,
-    mesh: Mesh | int,
-    form: str = "transformed",
-    tol: float = 1e-10,
-) -> EigenState:
+def solve_quad(p: QuadParams, alpha: float, mesh: Mesh | int, form: str = "transformed") -> EigenState:
     """Assemble and solve the lowest eigenpair for (p, alpha) on a mesh.
 
     ``mesh`` may be a Mesh or a refinement level n, which means
@@ -340,8 +327,11 @@ def solve_quad(
     ``build_mesh(8, p.S)`` refines the safe shift for ``solve_lowest`` and
     provides the spectral-gap estimate.  ``build_mesh`` keeps recent meshes,
     so repeated solves at one level and S reuse both meshes' blocks.
-    ``form`` selects the assembly route ("transformed", "direct" or "plain").
+    ``form`` selects the assembly route, "transformed" or "direct";
+    ContractError for any other.
     """
+    if form not in _ASSEMBLERS:
+        raise ContractError(f"form must be 'transformed' or 'direct', got {form!r}")
     if isinstance(mesh, (int, np.integer)):
         mesh = build_mesh(int(mesh), p.S)
     assemble = _ASSEMBLERS[form]
@@ -357,11 +347,9 @@ def solve_quad(
 
     if not sparse:
         vals, vecs = _dense_lowest(system)
-        pair = _checked_pair(system, tol, vals[0], vecs[:, 0], 1, "dense")
+        pair = _checked_pair(system, vals[0], vecs[:, 0], 1, "dense")
     else:
         vals, _ = _dense_lowest(companion)
-        pair = solve_lowest(system, shift=safe_shift(p, alpha, float(vals[0])), tol=tol)
-    gap = float(vals[1] - vals[0]) if len(vals) > 1 else None
-    return EigenState(
-        p, alpha, mesh, system, pair.lambda_h, pair.psi_h, pair.residual, gap, form
-    )
+        pair = solve_lowest(system, shift=safe_shift(p, alpha, float(vals[0])))
+    gap = float(vals[1] - vals[0])
+    return EigenState(p, alpha, mesh, system, pair.lambda_h, pair.psi_h, pair.residual, gap, form)

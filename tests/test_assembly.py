@@ -7,18 +7,14 @@ import pytest
 import scipy.linalg as dla
 
 from quadrobin import assembly
-from quadrobin.assembly import (
-    BoundaryLayerWarning,
-    assemble_direct,
-    assemble_plain_mass,
-    assemble_transformed,
-)
+from quadrobin.assembly import BoundaryLayerWarning, assemble_direct, assemble_transformed
 from quadrobin.certificates import l_value
 from quadrobin.coefficients import coefficient_values
 from quadrobin.errors import ContractError, DomainError
 from quadrobin.geometry import QuadParams, perimeter
 from quadrobin.mesh import build_mesh
-from quadrobin.solver import rayleigh, solve_quad
+from quadrobin.oracles import assemble_plain_mass, plain_coefficient_values
+from quadrobin.solver import rayleigh, solve_lowest, solve_quad
 
 from conftest import random_params
 
@@ -52,17 +48,17 @@ def test_transported_matches_direct_entrywise(rng, meshes):
 def test_pullback_matrices_special_cases():
     # equal-split member with c != c0: plain matrices diag(S/c^2, c^2/S)
     p = QuadParams(0.0, 0.0, 1.7, 1.0, 1.0)
-    plain = coefficient_values(p, transported=False)
+    plain = plain_coefficient_values(p)
     # (G11, G12, G22) of the upper half at indices 0-2, of the lower at 6-8
     Gu, Gl = plain[[0, 1, 2]], plain[[6, 7, 8]]
     expected = [1.0 / 1.7**2, 0.0, 1.7**2]
     assert np.allclose(Gu, expected, rtol=1e-14)
     assert np.allclose(Gl, expected, rtol=1e-14)
     # transported version carries the (Sj/S) = 1 weight: identical here
-    Gu_t = coefficient_values(p, transported=True)[[0, 1, 2]]
+    Gu_t = coefficient_values(p)[[0, 1, 2]]
     assert np.allclose(Gu_t, expected, rtol=1e-14)
     # at the square both reduce to the identity
-    square = coefficient_values(QuadParams.square(), transported=True)
+    square = coefficient_values(QuadParams.square())
     Gu_s, Gl_s = square[[0, 1, 2]], square[[6, 7, 8]]
     assert np.allclose(Gu_s, [1.0, 0.0, 1.0], atol=1e-15)
     assert np.allclose(Gl_s, [1.0, 0.0, 1.0], atol=1e-15)
@@ -73,7 +69,7 @@ def test_boundary_weights_scalings():
     edge = [4, 5, 10, 11]  # the edge ratios' indices in the coefficient vector
     assert np.allclose(-2.0 * coefficient_values(p)[edge], -2.0, rtol=1e-14)
     p2 = QuadParams(0.5, -0.25, 1.2, 0.8)
-    w_plain = -1.0 * coefficient_values(p2, transported=False)[edge]
+    w_plain = -1.0 * plain_coefficient_values(p2)[edge]
     # plain-mass weights sum against edge lengths to alpha S l(p) / |ref edge|
     total = w_plain.sum()
     expected = -1.0 * p2.S * l_value(p2) / math.sqrt(2.0 * p2.S)
@@ -141,19 +137,20 @@ def test_plain_mass_form_is_a_different_pencil_off_balance(meshes):
     # the plain-mass normalisation hides a weight jump across y = 0; away
     # from S1 = S its lowest eigenvalue differs from the true one, on either side
     mesh = meshes(12)
+
+    def lam_plain(p):
+        return solve_lowest(assemble_plain_mass(p, -1.0, mesh)).lambda_h
+
     p = QuadParams(0.3, -0.2, 1.3, 0.55)
-    lam_plain = solve_quad(p, -1.0, mesh, form="plain").lambda_h
     lam_true = solve_quad(p, -1.0, mesh, form="direct").lambda_h
-    assert lam_plain < lam_true - 0.05 * abs(lam_true)
+    assert lam_plain(p) < lam_true - 0.05 * abs(lam_true)
     p_above = QuadParams(0.0, -0.13, 0.74, 0.75)
-    lam_plain = solve_quad(p_above, -1.0, mesh, form="plain").lambda_h
     lam_true = solve_quad(p_above, -1.0, mesh, form="direct").lambda_h
-    assert lam_plain > lam_true + 1e-3 * abs(lam_true)
+    assert lam_plain(p_above) > lam_true + 1e-3 * abs(lam_true)
     # ... but coincides on the S1 = S slice
     p_bal = QuadParams(0.4, -0.8, 1.5, 1.0)
-    lam_plain = solve_quad(p_bal, -1.0, mesh, form="plain").lambda_h
     lam_true = solve_quad(p_bal, -1.0, mesh, form="direct").lambda_h
-    assert abs(lam_plain - lam_true) <= 1e-12 * abs(lam_true)
+    assert abs(lam_plain(p_bal) - lam_true) <= 1e-12 * abs(lam_true)
 
 
 def test_mesh_parameter_mismatch_raises(meshes):
@@ -169,7 +166,7 @@ def test_boundary_layer_warning(meshes):
         assemble_transformed(QuadParams.square(), -1.0, meshes(8))
 
 
-@pytest.mark.parametrize("assemble", [assemble_transformed, assemble_plain_mass, assemble_direct])
+@pytest.mark.parametrize("assemble", [assemble_transformed, assemble_direct])
 def test_boundary_layer_warning_names_the_callers_line(assemble, meshes):
     with pytest.warns(BoundaryLayerWarning) as caught:
         assemble(QuadParams.square(), -40.0, meshes(8))

@@ -210,7 +210,7 @@ def test_parameter_thresholds_fire(meshes):
 
 def test_threshold_conditions_classification():
     alpha = -1.0
-    th = parameter_thresholds(alpha, 1.0, verify=False)
+    th = parameter_thresholds(alpha, 1.0)
     assert threshold_conditions(QuadParams(1.01 * th.A, 0, 1.0, 1.0), alpha, th) == ["I"]
     assert threshold_conditions(QuadParams(0, -1.01 * th.A, 1.0, 1.0), alpha, th) == ["II"]
     assert threshold_conditions(QuadParams(0, 0, 1.01 * th.c1, 1.0), alpha, th) == ["III"]
@@ -224,7 +224,7 @@ def test_threshold_conditions_classification():
 
 def test_threshold_conditions_imply_the_trial_certificate(rng):
     alpha = -1.0
-    th = parameter_thresholds(alpha, 1.0, verify=False)
+    th = parameter_thresholds(alpha, 1.0)
     for _ in range(200):
         p = random_params(rng, 1, a_range=3 * th.A, c_range=(th.c2 / 5, 3 * th.c1),
                           s1_frac=(0.01, 0.99))[0]
@@ -236,8 +236,8 @@ def test_threshold_scaling():
     # under x -> sqrt(k) x: alpha -> alpha/sqrt(k), S -> kS; lengths scale by
     # sqrt(k) and areas by k
     alpha, k = -1.3, 2.5
-    base = parameter_thresholds(alpha, 1.0, verify=False)
-    scaled = parameter_thresholds(alpha / math.sqrt(k), k, verify=False)
+    base = parameter_thresholds(alpha, 1.0)
+    scaled = parameter_thresholds(alpha / math.sqrt(k), k)
     assert scaled.A == pytest.approx(math.sqrt(k) * base.A, rel=1e-10)
     assert scaled.c1 == pytest.approx(math.sqrt(k) * base.c1, rel=1e-10)
     assert scaled.c2 == pytest.approx(math.sqrt(k) * base.c2, rel=1e-10)
@@ -255,7 +255,7 @@ def test_hausdorff_threshold_finite_and_grows_with_alpha():
 def test_hausdorff_threshold_defining_property(rng):
     alpha = -0.5
     radius = hausdorff_threshold(alpha, 1.0)
-    th = parameter_thresholds(alpha, 1.0, verify=False)
+    th = parameter_thresholds(alpha, 1.0)
     checked = 0
     for scale in (1.3, 2.0, 4.0):
         for p in (
@@ -273,7 +273,7 @@ def test_hausdorff_threshold_defining_property(rng):
 def test_in_box_members_stay_inside_the_radius(rng):
     alpha = -0.5
     radius = hausdorff_threshold(alpha, 1.0)
-    th = parameter_thresholds(alpha, 1.0, verify=False)
+    th = parameter_thresholds(alpha, 1.0)
     for _ in range(20):
         p = QuadParams(
             float(rng.uniform(-th.A, th.A)),

@@ -80,6 +80,19 @@ def test_hessian_closed_form_at_square(capsys):
     assert np.all(np.diag(H) < 0)
 
 
+def test_gradient_closed_form_is_the_closed_form_or_refused(capsys):
+    square = ["--alpha", "-1", "--mesh", "8", "--method", "closed"]
+    code, out, _ = run_cli(capsys, "gradient", *square)
+    assert code == 0
+    report = json.loads(out)["result"]["report"]
+    assert report["method"] == "closed_form"
+    assert report["gradient"] == [0.0, 0.0, 0.0, 0.0]
+    # off the square the closed form does not exist: refused, as by hessian
+    code, _, err = run_cli(capsys, "gradient", "--a1", "0.3", *square)
+    assert code == 2
+    assert "square only" in json.loads(err)["error"]["message"]
+
+
 def test_certify_kinds(capsys):
     code, out, _ = run_cli(
         capsys, "certify", "--a1", "6", "--c", "1", "--S1", "1", "--alpha", "-1"

@@ -281,7 +281,7 @@ def test_near_degenerate_corner_cluster_raises_conditioning_error(capsys):
 
 
 def test_workspace_requires_transformed_form(meshes):
-    state = solve_quad(GENERIC, -1.0, meshes(8), form="plain")
+    state = solve_quad(GENERIC, -1.0, meshes(8), form="direct")
     with pytest.raises(ContractError):
         Workspace(state)
 # ---------------------------------------------------------------------------

@@ -5,15 +5,12 @@ import pytest
 
 import scipy.sparse as sp
 
-from quadrobin.assembly import (
-    assemble_direct,
-    assemble_plain_mass,
-    assemble_transformed,
-)
+from quadrobin import solver
+from quadrobin.assembly import assemble_direct, assemble_transformed
 from quadrobin.errors import ContractError, DomainError, EigenSolveError
 from quadrobin.geometry import QuadParams
 from quadrobin.mesh import build_mesh, refine_mesh
-from quadrobin.oracles import directional_stiffness, symmetry_permutation
+from quadrobin.oracles import assemble_plain_mass, directional_stiffness, symmetry_permutation
 from quadrobin.solver import _shifted, rayleigh, safe_shift, solve_lowest, solve_quad
 from quadrobin.square_exact import eval_eigenfunction, solve_square
 
@@ -93,10 +90,16 @@ def test_gap_estimate_present(meshes):
     assert state.gap_estimate > 0.5  # well-separated ground state
 
 
-def test_unreachable_tolerance_raises_with_diagnostics(meshes):
+def test_unreachable_tolerance_raises_with_diagnostics(monkeypatch, meshes):
+    monkeypatch.setattr(solver, "_TOL", 1e-30)
     with pytest.raises(EigenSolveError) as err:
-        solve_quad(QuadParams.square(), -1.0, meshes(4), tol=1e-30)
+        solve_quad(QuadParams.square(), -1.0, meshes(4))
     assert "residual" in err.value.diagnostics
+
+
+def test_unknown_form_is_a_contract_error(meshes):
+    with pytest.raises(ContractError, match="'transformed' or 'direct'"):
+        solve_quad(QuadParams.square(), -1.0, meshes(4), form="plain")
 
 
 def test_safe_shift_sits_below_the_eigenvalue(meshes):

@@ -99,7 +99,7 @@ def test_level_128_blocks_are_a_small_table_of_distinct_rows_and_a_code_per_slot
 
 def _pencil(mesh):
     p, alpha = QuadParams(0.4, -0.2, 1.3, 0.8), -3.0
-    w = coefficient_values(p, True)
+    w = coefficient_values(p)
     return [affine_combination(mesh, w * mask) for mask in _pencil_weights(alpha)]
 
 
