@@ -32,7 +32,8 @@ class EigenSolveError(QuadRobinError, RuntimeError):
 
 class ConditioningError(EigenSolveError):
     """A derivative solve too ill-conditioned to trust: the spectral gap is
-    too small, or the eigenvector-derivative solve failed its residual check."""
+    too small, Nelson's reduced matrix is not positive definite, or the
+    eigenvector-derivative solve failed its residual check."""
 
     def __init__(self, message, gap=None, diagnostics=None):
         super().__init__(message, diagnostics)

@@ -55,6 +55,8 @@ class Mesh:
     q_den: int = 0
     # unit blocks of the pullback form, built on first use (assembly.affine_blocks)
     affine_blocks: object = field(default=None, init=False, repr=False, compare=False)
+    # the band factor's slot maps, built on first use (solver._band_maps)
+    band_maps: object = field(default=None, init=False, repr=False, compare=False)
     # whether no triangle crosses y = 0, scanned on first assembly (assembly._check_mesh)
     split_ok: bool | None = field(default=None, init=False, repr=False, compare=False)
     # set by build_mesh only: the arrays are exactly its layout for (level, S)

@@ -14,10 +14,20 @@ The eigenvector derivatives use Nelson's method (R. B. Nelson, AIAA J. 14,
 1976).  lambda is the simple lowest eigenvalue, so K - lambda M is positive
 semidefinite with kernel span(psi).  Replacing its row and column k =
 argmax |psi| by the unit vector e_k leaves a positive-definite matrix
-(Cauchy interlacing, psi_k != 0), factorised once like the solver's inertia
-count.  Its solution w has w_k = 0 and satisfies every row but k; the right
-side is orthogonal to psi, so row k holds too, and the full residual check
-confirms it.  Then psi^v = w + (-1/2 psi^T M^v psi - psi^T M w) psi.
+(Cauchy interlacing, psi_k != 0), factorised once by the solver's
+``_factor``.  When the band factor finds it not positive definite, psi is
+not the lowest pair, and ConditioningError names k and the gap estimate.
+One solve with 5 right sides serves all four directions: their reduced
+right sides and psi_k M psi, each with entry k zeroed.  A direction's
+solution w has w_k = 0 and satisfies every row but k; the right side is
+orthogonal to psi, so row k holds too up to the pair's roundoff, and the
+full residual check confirms it.  Then psi^v = w + (-1/2 psi^T M^v psi -
+psi^T M w) psi.  The fifth solution z, made M-orthogonal to psi, has
+(K - lambda M) z = psi_k M psi - e_k, since psi^T (K - lambda M) = 0 fixes its
+row k.  Adding r_k z, r_k the residual left in row k, clears that row at the
+price of a multiple of M psi, so psi^v solves the bordered system
+[[K - lambda M, M psi], [psi^T M, 0]] [psi^v; mu] = [rhs; -1/2 psi^T M^v psi]
+to roundoff.
 
 The mass depends on the parameters only through the per-half weights Sj/S,
 so M^v vanishes except for v = S1 (where it is linear, hence M^{v1v2} = 0)
@@ -42,7 +52,7 @@ from .coefficients import PARAMS, _tables
 from .errors import ConditioningError, ContractError, DomainError
 from .geometry import QuadParams
 from .mesh import Mesh, build_mesh
-from .solver import EigenState, _shifted, _symmetric_lu, solve_quad
+from .solver import EigenState, _factor, _shifted, solve_quad
 from .square_exact import solve_square
 
 if TYPE_CHECKING:  # scipy loads on first use, in the functions that call it
@@ -103,6 +113,7 @@ class Workspace:
         self._psi_v: dict[str, np.ndarray] = {}
         self._k = int(np.argmax(np.abs(self.psi)))
         self._lu = None
+        self._w = None
 
     # -- derivative matrices: weighted sums of the mesh's affine blocks --------
     def stiffness_derivative(self, v: str) -> sp.csr_matrix:
@@ -136,27 +147,50 @@ class Workspace:
     def gradient(self) -> np.ndarray:
         return np.array([self.first(v) for v in PARAMS])
 
+    def _rhs(self, v: str) -> np.ndarray:
+        """The right side -(K^v - d lambda/dv M - lambda M^v) psi of Nelson's system."""
+        return -self._effective(v) + self.first(v) * self._Mpsi
+
     def _reduced_lu(self):
-        """SuperLU factor of K - lambda M with row and column k set to e_k."""
+        """The factor (``solver._factor``) of K - lambda M with row and column
+        k set to e_k.  ConditioningError, naming k and the gap estimate, when
+        the band factor finds that matrix not positive definite."""
         if self._lu is None:
             A = _shifted(self.K, self.M, self.lam)
             k = self._k
             A.data[A.indices == k] = 0.0
             A.data[A.indptr[k] : A.indptr[k + 1]] = 0.0
             A[k, k] = 1.0
-            self._lu = _symmetric_lu(A)
+            self._lu = _factor(A, self.mesh)
+            if self._lu is None:
+                gap = self.state.gap_estimate
+                raise ConditioningError(
+                    "Nelson's reduced matrix is not positive definite",
+                    gap=gap,
+                    diagnostics={"index": k, "gap_estimate": gap},
+                )
         return self._lu
+
+    def _reduced_solutions(self) -> np.ndarray:
+        """Reduced solves for the 4 directions in ``PARAMS`` order and for
+        psi_k M psi, as columns made M-orthogonal to psi: one solve with 5
+        right sides."""
+        if self._w is None:
+            k, psi, Mpsi = self._k, self.psi, self._Mpsi
+            R = np.column_stack([self._rhs(v) for v in PARAMS] + [psi[k] * Mpsi])
+            R[k] = 0.0
+            W = self._reduced_lu().solve(R)
+            self._w = W - np.outer(psi, Mpsi @ W)
+        return self._w
 
     def eigenvector_derivative(self, v: str) -> np.ndarray:
         if v not in self._psi_v:
-            lu = self._reduced_lu()
             k, psi = self._k, self.psi
-            rhs = -self._effective(v) + self.first(v) * self._Mpsi
-            reduced = rhs.copy()
-            reduced[k] = 0.0
-            w = lu.solve(reduced)
-            psi_v = w + (-0.5 * self._mass_form(v) - float(self._Mpsi @ w)) * psi
-            resid = float(np.linalg.norm(self.K @ psi_v - self.lam * (self.M @ psi_v) - rhs))
+            rhs = self._rhs(v)
+            W = self._reduced_solutions()
+            psi_v = W[:, PARAMS.index(v)] - 0.5 * self._mass_form(v) * psi
+            r = self.K @ psi_v - self.lam * (self.M @ psi_v) - rhs
+            resid = float(np.linalg.norm(r))
             scale = max(1.0, float(np.linalg.norm(rhs)))
             if resid > 1e-9 * scale:
                 # the reduced solve amplifies psi's roundoff by ||psi_v|| / |psi_k|,
@@ -173,7 +207,9 @@ class Workspace:
                         "gap_estimate": gap,
                     },
                 )
-            self._psi_v[v] = psi_v
+            # the pair's roundoff leaves r mostly in row k; r_k along the last
+            # column clears it (module docstring)
+            self._psi_v[v] = psi_v + r[k] * W[:, 4]
         return self._psi_v[v]
 
     def second(self, v1: str, v2: str) -> float:

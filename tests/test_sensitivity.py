@@ -3,9 +3,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg as dla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from conftest import random_params
+from quadrobin.assembly import assemble_transformed
 from quadrobin.cli import main
 from quadrobin.coefficients import PARAMS, coefficient_values, first_tables, second_tables
 from quadrobin.errors import ConditioningError, ContractError, DomainError, EigenSolveError
@@ -20,7 +22,7 @@ from quadrobin.sensitivity import (
     sensitivity_report,
     verify_local_max,
 )
-from quadrobin.solver import solve_quad
+from quadrobin.solver import EigenState, solve_quad
 from quadrobin.square_exact import solve_square
 GENERIC = QuadParams(0.3, -0.1, 1.2, 0.9)
 # ---------------------------------------------------------------------------
@@ -209,7 +211,7 @@ def test_nelson_derivatives_match_bordered_reference(rng, meshes):
             # argmax |psi| is a 4-way tie between the corners
             top = np.abs(ws.psi)
             assert np.sum(top >= top.max() * (1.0 - 1e-9)) >= 4
-        assert int((ws._reduced_lu().U.diagonal() < 0.0).sum()) == 0
+        assert ws._reduced_lu().definite  # the reduced matrix is positive definite
         ref = _bordered_reference(ws)
         scale = max(np.abs(r).max() for r in ref.values())
         for v in PARAMS:
@@ -225,7 +227,7 @@ def test_workspace_assembles_no_derivative_matrix_and_factorises_once(monkeypatc
     import quadrobin.solver as solver
 
     state = solve_quad(GENERIC, -1.0, meshes(16))  # S1 != S: a mass derivative too
-    calls = {"affine_combination": 0, "_symmetric_lu": 0}
+    calls = {"affine_combination": 0, "_factor": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -238,10 +240,10 @@ def test_workspace_assembles_no_derivative_matrix_and_factorises_once(monkeypatc
         for module in (assembly, sensitivity):
             m.setattr(module, "affine_combination", counted("affine_combination", module.affine_combination))
         for module in (solver, sensitivity):
-            m.setattr(module, "_symmetric_lu", counted("_symmetric_lu", module._symmetric_lu))
+            m.setattr(module, "_factor", counted("_factor", module._factor))
         ws = Workspace(state)
         ws.gradient(), ws.hessian()
-    assert calls == {"affine_combination": 0, "_symmetric_lu": 1}
+    assert calls == {"affine_combination": 0, "_factor": 1}
 
 
 def test_inconsistent_eigenvector_fails_the_residual_check(rng, meshes):
@@ -263,6 +265,22 @@ def test_tiny_gap_raises_conditioning_error(meshes):
     state.gap_estimate = 1e-12
     with pytest.raises(ConditioningError):
         Workspace(state)
+
+
+def test_reduced_matrix_of_a_higher_pair_raises_conditioning_error(meshes):
+    # K - lambda_2 M has an eigenvalue lambda_1 - lambda_2 < 0, so its reduced
+    # matrix is indefinite too (interlacing) and the band factor refuses it
+    mesh = meshes(16)
+    system = assemble_transformed(GENERIC, -1.0, mesh)
+    K, M = system.stiffness_plus_boundary.toarray(), system.mass.toarray()
+    vals, vecs = dla.eigh(K, M, subset_by_index=[0, 2])
+    gap = float(vals[2] - vals[1])
+    state = EigenState(GENERIC, -1.0, mesh, system, float(vals[1]), vecs[:, 1], 0.0, gap, "transformed")
+    ws = Workspace(state)
+    with pytest.raises(ConditioningError) as info:
+        ws.eigenvector_derivative("a1")
+    assert info.value.gap == gap
+    assert info.value.diagnostics == {"index": int(np.argmax(np.abs(vecs[:, 1]))), "gap_estimate": gap}
 
 
 def test_near_degenerate_corner_cluster_raises_conditioning_error(capsys):

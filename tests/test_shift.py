@@ -9,8 +9,9 @@ import scipy.linalg as dla
 from quadrobin.assembly import assemble_transformed
 from quadrobin.geometry import QuadParams
 from quadrobin.solver import (
-    _count_eigenvalues_below,
     _dense_lowest,
+    _factor,
+    _negative_pivots,
     _shifted,
     _symmetric_lu,
     safe_shift,
@@ -30,9 +31,11 @@ def _coarse_lambda(p, alpha, meshes):
     return float(vals[0])
 
 
-@pytest.mark.parametrize("alpha", [-0.5, -4.0, -16.0])
-def test_inertia_count_matches_dense_eigenvalues(rng, meshes, alpha):
-    # mesh 16 (545 dof) is large enough for the factor to form panels
+def _sigma_grid(rng, meshes, alpha):
+    """(n, p, K, M, dense eigenvalues, shifts) on build_mesh meshes: one shift
+    below the spectrum, then the midpoints of gaps that roundoff in the dense
+    values cannot blur."""
+    # mesh 16 (545 dof) is large enough for SuperLU to form panels
     for n in [*range(4, 9), *([16] if alpha == -4.0 else [])]:
         for p in random_params(rng, 2):
             system = assemble_transformed(p, alpha, meshes(n))
@@ -40,12 +43,27 @@ def test_inertia_count_matches_dense_eigenvalues(rng, meshes, alpha):
             vals = dla.eigh(K.toarray(), M.toarray(), eigvals_only=True)
             scale = max(1.0, float(np.abs(vals).max()))
             sigmas = [vals[0] - 0.1 * scale]
-            # midpoints of gaps that roundoff in the dense values cannot blur
             sigmas += [0.5 * (lo + hi) for lo, hi in zip(vals, vals[1:])
                        if hi - lo > 1e-8 * scale]
-            for sigma in sigmas:
-                below, _ = _count_eigenvalues_below(K, M, sigma)
-                assert below == int((vals < sigma).sum()), (n, p, sigma)
+            yield n, p, K, M, vals, sigmas
+
+
+@pytest.mark.parametrize("alpha", [-0.5, -4.0, -16.0])
+def test_inertia_count_matches_dense_eigenvalues(rng, meshes, alpha):
+    for n, p, K, M, vals, sigmas in _sigma_grid(rng, meshes, alpha):
+        for sigma in sigmas:
+            below = _negative_pivots(_symmetric_lu(_shifted(K, M, sigma)))
+            assert below == int((vals < sigma).sum()), (n, p, sigma)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, -4.0, -16.0])
+def test_band_certificate_matches_dense_eigenvalues(rng, meshes, alpha):
+    # the band factor exists exactly when no eigenvalue lies below the shift
+    for n, p, K, M, vals, sigmas in _sigma_grid(rng, meshes, alpha):
+        for sigma in sigmas:
+            factor = _factor(_shifted(K, M, sigma), meshes(n))
+            assert (factor is not None) == (sigma < vals[0]), (n, p, sigma)
+            assert factor is None or factor.kind == "band"
 
 
 def test_inertia_count_releases_the_factor_copies(meshes):
@@ -53,8 +71,8 @@ def test_inertia_count_releases_the_factor_copies(meshes):
     system = assemble_transformed(p, alpha, meshes(32))
     K, M = system.stiffness_plus_boundary, system.mass
     sigma = safe_shift(p, alpha)
-    below, lu = _count_eigenvalues_below(K, M, sigma)
-    assert below == 0
+    lu = _symmetric_lu(_shifted(K, M, sigma))
+    assert _negative_pivots(lu) == 0
     # the L and U copies the count read are emptied, and scipy keeps (does
     # not rebuild) them: a rebuild on every access would double the work
     assert lu.L.nnz == lu.U.nnz == 0

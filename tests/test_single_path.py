@@ -57,42 +57,46 @@ def test_lanczos_runs_on_the_certified_factor(monkeypatch, meshes, alpha):
         K, M = system.stiffness_plus_boundary, system.mass
         reference = spla.eigsh(K, k=1, M=M, sigma=shift, which="LM", return_eigenvectors=False)
 
-        factorisations = []
-        splu = spla.splu
-
-        def counted_splu(*args, **kwargs):
-            factorisations.append(kwargs.get("permc_spec"))
-            return splu(*args, **kwargs)
-
         with monkeypatch.context() as m:
-            m.setattr(spla, "splu", counted_splu)  # solver imports scipy on first use
+            factors, solves = _counted_factors(m)
             pair = solve_lowest(system, shift=shift)
         assert pair.method == "lanczos-shift-invert"
+        assert pair.factor == "band"
         assert pair.lambda_h == pytest.approx(float(reference[0]), rel=1e-10)
         assert pair.residual <= 1e-10 * _norm_K(system)
-        # one symmetric-mode factorisation per walk step, and no other
-        assert factorisations == ["MMD_AT_PLUS_A"] * pair.iterations
+        # one factorisation per walk step, and every solve on the last one
+        assert len(factors) == pair.iterations
+        assert len(solves) == pair.solves > 0
+        assert {id(f) for f, _ in solves} == {id(factors[-1])}
 
 
 class _CountedFactor:
-    """A factor that records each of its solves."""
+    """A factor that records each of its solves as (factor, rhs length)."""
 
-    def __init__(self, lu, solves):
-        self._lu, self._solves = lu, solves
+    def __init__(self, factor, solves):
+        self._factor, self._solves = factor, solves
 
     def solve(self, rhs):
-        self._solves.append(len(rhs))
-        return self._lu.solve(rhs)
+        self._solves.append((self._factor, len(rhs)))
+        return self._factor.solve(rhs)
 
     def __getattr__(self, name):
-        return getattr(self._lu, name)
+        return getattr(self._factor, name)
 
 
-def _counted_solves(monkeypatch):
-    solves = []
-    symmetric_lu = solver._symmetric_lu
-    monkeypatch.setattr(solver, "_symmetric_lu", lambda A: _CountedFactor(symmetric_lu(A), solves))
-    return solves
+def _counted_factors(monkeypatch):
+    """Lists of the factors ``solver._factor`` makes (None for a refused
+    band factor) and of the solves made with them."""
+    factors, solves = [], []
+    factor = solver._factor
+
+    def counted(A, mesh):
+        made = factor(A, mesh)
+        factors.append(made)
+        return None if made is None else _CountedFactor(made, solves)
+
+    monkeypatch.setattr(solver, "_factor", counted)
+    return factors, solves
 
 
 def test_lanczos_averages_at_most_one_basis_of_solves(monkeypatch, meshes):
@@ -100,7 +104,8 @@ def test_lanczos_averages_at_most_one_basis_of_solves(monkeypatch, meshes):
     mild = [QuadParams(0.4, -0.2, 1.3, 0.8), QuadParams(-0.3, 0.5, 0.9, 1.2),
             QuadParams(0.2, 0.1, 1.1, 1.0)]
     cases = [(p, -10.0, 32) for p in _SHARP_CORNERS] + [(p, -1.0, 64) for p in mild]
-    solves, counts = _counted_solves(monkeypatch), []
+    _, solves = _counted_factors(monkeypatch)
+    counts = []
     for p, alpha, level in cases:
         system = assemble_transformed(p, alpha, meshes(level))
         shift = safe_shift(p, alpha, _companion_lambda(p, alpha))
@@ -108,11 +113,11 @@ def test_lanczos_averages_at_most_one_basis_of_solves(monkeypatch, meshes):
         pair = solve_lowest(system, shift=shift)
         assert pair.residual <= 1e-10 * _norm_K(system)
         counts.append(len(solves))
-    assert sum(counts) <= 20 * len(cases), counts
+    assert min(counts) > 0 and sum(counts) <= 20 * len(cases), counts
 
 
 def test_unreachable_tolerance_on_the_sparse_path_raises_after_bounded_solves(monkeypatch, meshes):
-    solves = _counted_solves(monkeypatch)
+    _, solves = _counted_factors(monkeypatch)
     monkeypatch.setattr(solver, "_TOL", 1e-30)
     with pytest.raises(EigenSolveError) as err:
         solve_quad(QuadParams.square(), -1.0, meshes(16))
@@ -190,10 +195,7 @@ def test_solve_lowest_on_coarse_systems_matches_dense(rng):
 
 
 def test_eigen_pair_counts_its_factor_solves(monkeypatch, meshes):
-    solves = _counted_solves(monkeypatch)
-    factor = solver._symmetric_lu
-    factorisations = []
-    monkeypatch.setattr(solver, "_symmetric_lu", lambda A: factorisations.append(1) or factor(A))
+    factorisations, solves = _counted_factors(monkeypatch)
     shapes = [(QuadParams.square(), -1.0), (QuadParams(1.8, -0.4, 1.0, 1.0), -8.0),
               (QuadParams(0.3, -0.2, 1.3, 0.55), -8.0)]
     for p, alpha in shapes:
@@ -207,4 +209,5 @@ def test_eigen_pair_counts_its_factor_solves(monkeypatch, meshes):
             assert pair.iterations == len(factorisations)
         assert pair.iterations > 1
     # positional constructions keep working; the dense path makes no solves
-    assert solver.EigenPair(1.0, np.ones(2), 0.0, 1, "dense").solves == 0
+    dense = solver.EigenPair(1.0, np.ones(2), 0.0, 1, "dense")
+    assert dense.solves == 0 and dense.factor is None
